@@ -21,11 +21,11 @@ from semicurve.groebner import Polynomial, gb_verify, leading_ideal
 from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import format_monomial
 from semicurve.ratliff_rush import (
-    PowerCache,
     Verdict,
     combined_report,
     reduce_variables,
     socle_probe,
+    verdict_payload,
 )
 from semicurve.semigroup import CurveInstance, derive, validate
 from semicurve.survey import (
@@ -95,7 +95,7 @@ def _parse_ideal(text):
             raise UserInputError(f"cannot read ideal file {text!r}: {exc}") from None
     try:
         ideal = MonomialIdeal.from_json(raw)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise UserInputError(f"bad ideal JSON: {exc}") from None
     return ideal, None
 
@@ -236,9 +236,11 @@ def cmd_colon(args):
 
 
 def _rr_payload_text(payload):
-    lines = [f"verdict: {payload['verdict']} (depth {payload['depth']})",
-             "chain equals ideal per depth: "
-             + ", ".join(str(b).lower() for b in payload["chain_equal"])]
+    """Text form of a verdict_payload (rr and probe alike)."""
+    lines = [f"verdict: {payload['verdict']} (depth {payload['depth']})"]
+    if "chain_equal" in payload:
+        lines.append("chain equals ideal per depth: "
+                     + ", ".join(str(b).lower() for b in payload["chain_equal"]))
     if payload.get("witness") is not None:
         lines.append("witness: " + format_monomial(tuple(payload["witness"]))
                      + f" at depth {payload.get('witness_depth')}")
@@ -251,9 +253,7 @@ def _rr_payload_text(payload):
     return "\n".join(lines)
 
 
-def cmd_rr(args):
-    ideal, note = _parse_ideal(args.ideal)
-    payload = combined_report(ideal, args.depth)
+def _emit_verdict(args, payload, note):
     if args.json:
         _emit_json(args, payload)
     else:
@@ -264,27 +264,17 @@ def cmd_rr(args):
     return 3 if payload["verdict"] == Verdict.NOT_CLOSED.value else 0
 
 
+def cmd_rr(args):
+    ideal, note = _parse_ideal(args.ideal)
+    return _emit_verdict(args, combined_report(ideal, args.depth), note)
+
+
 def cmd_probe(args):
     ideal, note = _parse_ideal(args.ideal)
-    report = socle_probe(ideal, args.depth, powers=PowerCache(ideal))
-    payload = {
-        "depth": report.depth,
-        "verdict": report.verdict.value,
-        "socle_candidates": [list(c) for c in report.candidates],
-        "membership_table": [[bool(b) for b in row] for row in report.membership_table],
-        "degenerate": report.degenerate,
-    }
-    if report.witness is not None:
-        payload["witness"] = list(report.witness)
-        payload["witness_depth"] = report.witness_depth
-    if args.json:
-        _emit_json(args, payload)
-    else:
-        text = _rr_payload_text(payload)
-        if note:
-            text = f"{note}\n{text}"
-        _write(args, text)
-    return 3 if report.verdict is Verdict.NOT_CLOSED else 0
+    report = socle_probe(ideal, args.depth)
+    payload = verdict_payload(args.depth, probe=report)
+    payload["degenerate"] = report.degenerate
+    return _emit_verdict(args, payload, note)
 
 
 def cmd_run(args):

@@ -13,17 +13,11 @@ a Kronecker delta on q_z are present only when q_z = 0.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 from semicurve.errors import InternalCheckError
 from semicurve.ideals import MonomialIdeal
-from semicurve.monomials import (
-    Comparison,
-    format_monomial,
-    order_cmp,
-    weighted_degree,
-)
+from semicurve.monomials import format_monomial, weighted_degree
 
 
 @dataclass(frozen=True)
@@ -36,17 +30,6 @@ class Binomial:
 
     def text(self):
         return f"{format_monomial(self.lead)} - {format_monomial(self.tail)}"
-
-    def to_json(self):
-        return json.dumps([list(self.lead), list(self.tail)], separators=(",", ":"))
-
-    @classmethod
-    def oriented(cls, a, b, order):
-        """Build from an unordered pair, assigning lead by the order."""
-        c = order_cmp(a, b, order)
-        if c is Comparison.EQUAL:
-            raise ValueError("binomial sides must differ")
-        return cls(a, b) if c is Comparison.GREATER else cls(b, a)
 
 
 def kernel_check(binomial, weights):
@@ -85,7 +68,7 @@ def patil_singh_generators(dp, instance):
         b = Binomial(lead, tail)
         if not kernel_check(b, instance.weights):
             raise InternalCheckError(f"{label} is not weighted-homogeneous for {instance.text()}")
-        if order_cmp(lead, tail, order) is not Comparison.GREATER:
+        if order.key(lead) <= order.key(tail):
             raise InternalCheckError(f"{label} lead is not the larger side for {instance.text()}")
         out.append(b)
 
@@ -139,8 +122,6 @@ def initial_closed_form(dp, instance):
 
 
 class ClosedForm(enum.Enum):
-    PS_GENERATORS = "PS_GENERATORS"
-    IN_IDEAL = "IN_IDEAL"
     COLON_X1_TO_PM1 = "COLON_X1_TO_PM1"
     COLON_X1_TO_P = "COLON_X1_TO_P"
     COLON_XN = "COLON_XN"
@@ -275,11 +256,3 @@ def closed_form_table(dp, instance, selector):
     else:
         raise ValueError(f"{selector} is not a colon/socle closed form")
     return ClosedFormList(selector, tuple(rows))
-
-
-def colon_closed_form(dp, instance, selector):
-    """Published generator list for the selected colon/socle formula, as
-    residue-class representatives (monomials, full arity, x0 unused)."""
-    table = closed_form_table(dp, instance, selector)
-    order = instance.order()
-    return tuple(sorted(table.monomials, key=order.key, reverse=True))

@@ -8,7 +8,6 @@ deterministic.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,16 +73,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))
 
-    def to_json(self, order):
-        ordered = sorted(self.terms, key=order.key, reverse=True)
-        payload = [{"coef": str(self.terms[m]), "exp": list(m)} for m in ordered]
-        return json.dumps(payload, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text, arity):
-        data = json.loads(text)
-        return cls(arity, {tuple(t["exp"]): Fraction(t["coef"]) for t in data})
-
 
 def reduce(f, basis, order, max_terms=None):
     """Normal form of f modulo basis: no remainder term is divisible by any
@@ -124,12 +113,12 @@ class GBReport:
     remainder: Polynomial | None = None
 
 
-def gb_verify(basis, order, use_product_criterion=True, max_terms=None):
+def gb_verify(basis, order, max_terms=None):
     """Buchberger criterion: passed iff every S-pair reduces to zero.
 
-    Pairs with coprime leading monomials may be skipped (product
-    criterion); correctness does not depend on the skip.  On failure the
-    first failing pair and its nonzero normal form are reported."""
+    Pairs with coprime leading monomials are skipped (product criterion);
+    correctness does not depend on the skip.  On failure the first failing
+    pair and its nonzero normal form are reported."""
     basis = list(basis)
     if any(g.is_zero for g in basis):
         raise ValueError("basis members must be nonzero")
@@ -137,7 +126,7 @@ def gb_verify(basis, order, use_product_criterion=True, max_terms=None):
     checked = skipped = 0
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if use_product_criterion and mono_lcm(leads[i], leads[j]) == mono_mul(leads[i], leads[j]):
+            if mono_lcm(leads[i], leads[j]) == mono_mul(leads[i], leads[j]):
                 skipped += 1
                 continue
             rem = reduce(s_poly(basis[i], basis[j], order), basis, order, max_terms=max_terms)

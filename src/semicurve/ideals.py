@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 
 from semicurve import kernels
+from semicurve.errors import UserInputError
 from semicurve.monomials import Mono, format_monomial, weighted_degree
 
 
@@ -60,8 +61,22 @@ class MonomialIdeal:
 
     @classmethod
     def from_json(cls, text, weights=None):
+        """Inverse of to_json.  A malformed ideal raises UserInputError: the
+        checks live here, at the input boundary, rather than in the
+        constructor that every product and colon result passes through."""
         data = json.loads(text)
-        return cls(data["arity"], [tuple(g) for g in data["gens"]], weights=weights)
+        if not isinstance(data, dict):
+            raise UserInputError('expected an object {"arity": k, "gens": [...]}')
+        arity, gens = data.get("arity"), data.get("gens")
+        if type(arity) is not int or arity < 1:
+            raise UserInputError(f"arity must be a positive integer, got {arity!r}")
+        if not isinstance(gens, list) or not all(
+                isinstance(g, list) and len(g) == arity for g in gens):
+            raise UserInputError(f"gens must be a list of exponent lists of length {arity}")
+        for g in gens:
+            if not all(type(e) is int for e in g):
+                raise UserInputError(f"exponents must be integers, got {g}")
+        return cls(arity, gens, weights=weights)
 
     # -- predicates ---------------------------------------------------
 
@@ -100,17 +115,6 @@ class MonomialIdeal:
         self._check(other)
         return self._make(kernels.pairwise_product(self.gens, other.gens))
 
-    def power(self, k):
-        """k-th power by repeated product; k = 0 gives the unit ideal."""
-        if k < 0:
-            raise ValueError("negative power")
-        if k == 0:
-            return MonomialIdeal.unit(self.arity, weights=self.weights)
-        out = self
-        for _ in range(k - 1):
-            out = out.product(self)
-        return out
-
     def colon(self, other):
         """(self : other), the intersection over other's generators of the
         single-monomial colons.  The zero divisor is rejected."""
@@ -131,12 +135,6 @@ class MonomialIdeal:
         """Squarefree parts of the generators, minimalized."""
         clamped = [tuple(1 if e > 0 else 0 for e in g) for g in self.gens]
         return self._make(kernels.minimalize(clamped))
-
-    def __mul__(self, other):
-        return self.product(other)
-
-    def __pow__(self, k):
-        return self.power(k)
 
     # -- identity -----------------------------------------------------
 

@@ -11,25 +11,14 @@ exponent at the lowest-indexed differing variable is the larger one.
 """
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 
 Mono = tuple  # exponent tuple; alias for readability in signatures
 
 
-class Comparison(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
 def unit(arity: int) -> Mono:
     return (0,) * arity
-
-
-def degree(m: Mono) -> int:
-    return sum(m)
 
 
 def weighted_degree(m: Mono, weights) -> int:
@@ -87,31 +76,15 @@ class WeightedGrevlexOrder:
             raise ValueError("weights must be a nonempty sequence of positive integers")
         object.__setattr__(self, "weights", ws)
 
-    @property
-    def arity(self) -> int:
-        return len(self.weights)
-
     def wdeg(self, m: Mono) -> int:
         return weighted_degree(m, self.weights)
 
     def key(self, m: Mono):
-        """Sort key: larger key means larger monomial in the order."""
+        """Sort key: larger key means larger monomial in the order.  Every
+        comparison of monomials goes through this key."""
         if len(m) != len(self.weights):
             raise ValueError(f"arity mismatch: monomial {len(m)} vs order {len(self.weights)}")
         return (self.wdeg(m), tuple(-e for e in m))
-
-    def cmp(self, a: Mono, b: Mono) -> Comparison:
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return Comparison.LESS
-        if ka > kb:
-            return Comparison.GREATER
-        return Comparison.EQUAL
-
-
-def order_cmp(a: Mono, b: Mono, order: WeightedGrevlexOrder) -> Comparison:
-    """Compare two monomials under the weighted grevlex order."""
-    return order.cmp(a, b)
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")

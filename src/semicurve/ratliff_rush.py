@@ -26,7 +26,6 @@ from semicurve.monomials import mono_mul, unit, variable
 class Verdict(Enum):
     CLOSED_EVIDENCE = "CLOSED_EVIDENCE"
     NOT_CLOSED = "NOT_CLOSED"
-    INCONCLUSIVE = "INCONCLUSIVE"
 
 
 class PowerCache:
@@ -40,7 +39,7 @@ class PowerCache:
 
     def get(self, k):
         while len(self._powers) <= k:
-            self._powers.append(self._powers[-1] * self.ideal)
+            self._powers.append(self._powers[-1].product(self.ideal))
         return self._powers[k]
 
 
@@ -218,33 +217,46 @@ def socle_probe(ideal, depth, powers=None):
                             witness, witness_depth, degenerate)
 
 
-def combined_report(ideal, depth, powers=None):
-    """Chain plus probe as one JSON-ready dict (probe only when applicable).
+def overall_verdict(chain, probe=None):
+    """The single Ratliff-Rush verdict rule: (verdict, witness, witness_depth).
 
-    Overall verdict: NOT_CLOSED if either side certifies a witness, else
-    CLOSED_EVIDENCE from the chain; INCONCLUSIVE is reserved for callers
-    that could not complete a probe."""
-    if powers is None:
-        powers = PowerCache(ideal)
-    chain = rr_chain(ideal, depth, powers=powers)
-    probe = None
-    if primary_to_max(ideal):
-        probe = socle_probe(ideal, depth, powers=powers)
+    NOT_CLOSED with the chain's witness if the chain certified one, else
+    NOT_CLOSED with the probe's witness if the probe certified one, else
+    CLOSED_EVIDENCE.  A missing probe (ideal not primary to the maximal
+    ideal) leaves the chain's verdict; the probe-only report passes no
+    chain."""
+    for side in (chain, probe):
+        if side is not None and side.witness is not None:
+            return Verdict.NOT_CLOSED, side.witness, side.witness_depth
+    return Verdict.CLOSED_EVIDENCE, None, None
 
-    verdict = chain.verdict
-    witness, witness_depth = chain.witness, chain.witness_depth
-    if probe is not None and probe.verdict is Verdict.NOT_CLOSED and verdict is not Verdict.NOT_CLOSED:
-        verdict, witness, witness_depth = probe.verdict, probe.witness, probe.witness_depth
 
-    report = {
+def verdict_payload(depth, chain=None, probe=None):
+    """JSON-ready verdict report for the rr (chain plus probe) and probe
+    (probe only) commands: chain_equal appears only with a chain, the
+    probe fields are empty without a probe, and the witness only on
+    NOT_CLOSED."""
+    verdict, witness, witness_depth = overall_verdict(chain, probe)
+    payload = {
         "depth": depth,
-        "chain_equal": [bool(b) for b in chain.chain_equal],
         "verdict": verdict.value,
         "socle_candidates": [] if probe is None else [list(c) for c in probe.candidates],
         "membership_table": [] if probe is None else [[bool(b) for b in row]
                                                       for row in probe.membership_table],
     }
+    if chain is not None:
+        payload["chain_equal"] = [bool(b) for b in chain.chain_equal]
     if witness is not None:
-        report["witness"] = list(witness)
-        report["witness_depth"] = witness_depth
-    return report
+        payload["witness"] = list(witness)
+        payload["witness_depth"] = witness_depth
+    return payload
+
+
+def combined_report(ideal, depth, powers=None):
+    """Chain plus probe (when the ideal is primary to the maximal ideal)
+    as one verdict_payload."""
+    if powers is None:
+        powers = PowerCache(ideal)
+    chain = rr_chain(ideal, depth, powers=powers)
+    probe = socle_probe(ideal, depth, powers=powers) if primary_to_max(ideal) else None
+    return verdict_payload(depth, chain, probe)

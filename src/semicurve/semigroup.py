@@ -12,7 +12,6 @@ r_z, eps) with exhaustive uniqueness verification.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -128,15 +127,6 @@ class CurveInstance:
         except ValueError as exc:
             raise ValueError(f"bad instance {text!r}; expected m0,m1,...,mp;mn") from exc
         return cls(arith, extra)
-
-    def to_json(self):
-        return json.dumps({"arith": list(self.arith), "extra": self.extra},
-                          sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(tuple(data["arith"]), data["extra"])
 
 
 def in_S(instance, gamma):

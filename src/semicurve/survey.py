@@ -54,6 +54,7 @@ from semicurve.monomials import format_monomial, variable
 from semicurve.ratliff_rush import (
     PowerCache,
     Verdict,
+    overall_verdict,
     primary_to_max,
     reduce_variables,
     rr_chain,
@@ -241,13 +242,7 @@ class InstanceReport:
 
     @property
     def rr_verdict(self):
-        if self.rr.verdict is Verdict.NOT_CLOSED:
-            return Verdict.NOT_CLOSED
-        if self.probe is None:
-            return Verdict.INCONCLUSIVE
-        if self.probe.verdict is Verdict.NOT_CLOSED:
-            return Verdict.NOT_CLOSED
-        return Verdict.CLOSED_EVIDENCE
+        return overall_verdict(self.rr, self.probe)[0]
 
     def to_dict(self, full=False):
         d = {

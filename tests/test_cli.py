@@ -164,11 +164,39 @@ def test_out_file_for_instance_command(tmp_path, capsys):
     assert json.loads(target.read_text())["case"] == "CASE1"
 
 
-def test_bad_ideal_json(capsys):
-    code, _, err = run(capsys, "rr", '{"arity": 2, "gens": [[1]]}')
-    assert code == 1 and "error:" in err
+@pytest.mark.parametrize("text", [
+    pytest.param('{"arity": 2, "gens": [[1]]}', id="short-generator"),
+    pytest.param('{"arity": 2, "gens": [[1.5, 0], [0, 2]]}', id="float-exponent"),
+    pytest.param('{"arity": 2, "gens": [[true, 0], [0, 2]]}', id="bool-exponent"),
+    pytest.param('{"arity": -1, "gens": []}', id="negative-arity"),
+    pytest.param('{"arity": 0, "gens": []}', id="zero-arity"),
+    pytest.param('{"arity": 2, "gens": [1, 2]}', id="gens-not-lists"),
+    pytest.param('{"arity": 2}', id="gens-missing"),
+])
+def test_bad_ideal_json(capsys, text):
+    code, out, err = run(capsys, "rr", text)
+    assert code == 1 and "error:" in err and out == ""
 
 
 def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate"])
+
+
+SMOKE_CASES = [pytest.param([name, W], id=name) for name in (
+    "validate", "params", "gens", "inideal", "gb-verify", "colon", "rr", "probe", "run")] + [
+    pytest.param(["rr", NEGATIVE_CONTROL], id="rr-negative-control"),
+    pytest.param(["probe", NEGATIVE_CONTROL], id="probe-negative-control"),
+    pytest.param(["survey", "--p", "1", "--max-mp", "6", "--max-mn", "6", "--depth", "2"],
+                 id="survey"),
+]
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("argv", SMOKE_CASES)
+def test_every_subcommand_in_both_modes(capsys, argv, mode):
+    flags = ["--json"] if mode == "json" else []
+    code, out, _ = run(capsys, argv[0], *flags, *argv[1:])
+    assert code in (0, 3) and out.strip()
+    if mode == "json":
+        json.loads(out)

@@ -109,9 +109,3 @@ def test_buchberger_completion_adds_nothing():
         basis = _basis(curve)
         completed = buchberger_complete(basis, curve.order())
         assert leading_ideal(completed, curve.order()) == leading_ideal(basis, curve.order())
-
-
-def test_polynomial_json_roundtrip():
-    f = _basis()[0]
-    again = Polynomial.from_json(f.to_json(ORDER), 4)
-    assert again == f

@@ -1,11 +1,16 @@
 """Colon-chain closedness evidence and the certified non-closed control."""
+from dataclasses import replace
+
 import pytest
 
+from semicurve import ratliff_rush
 from semicurve.curve import initial_closed_form
 from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
 from semicurve.ratliff_rush import (
     PowerCache,
+    RRChainReport,
+    SocleProbeReport,
     Verdict,
     certify_witness,
     combined_report,
@@ -18,8 +23,9 @@ from semicurve.ratliff_rush import (
     variables_ideal,
 )
 from semicurve.semigroup import CurveInstance, derive
+from semicurve.survey import run_instance
 
-from oracles import product_gens, in_ideal
+from oracles import power_gens, product_gens, in_ideal
 
 NEGATIVE_CONTROL = MonomialIdeal(2, [(4, 0), (3, 1), (1, 3), (0, 4)])
 
@@ -133,7 +139,7 @@ def test_power_cache():
     powers = PowerCache(NEGATIVE_CONTROL)
     assert powers.get(0).is_unit
     assert powers.get(1) == NEGATIVE_CONTROL
-    assert powers.get(3) == NEGATIVE_CONTROL.power(3)
+    assert powers.get(3) == MonomialIdeal(2, power_gens(list(NEGATIVE_CONTROL.gens), 3))
 
 
 def test_variables_ideal():
@@ -152,3 +158,41 @@ def test_combined_report_schema():
     assert closed["verdict"] == "CLOSED_EVIDENCE"
     assert "witness" not in closed
     assert closed["chain_equal"] == [True, True]
+
+
+def _fake_chain(witness):
+    if witness is None:
+        return RRChainReport(NEGATIVE_CONTROL, 1, (NEGATIVE_CONTROL,), (True,), 1,
+                             Verdict.CLOSED_EVIDENCE)
+    return RRChainReport(NEGATIVE_CONTROL, 1, (NEGATIVE_CONTROL,), (False,), 1,
+                         Verdict.NOT_CLOSED, witness, 1)
+
+
+def _fake_probe(witness):
+    if witness is None:
+        return SocleProbeReport(NEGATIVE_CONTROL, 1, (), (), Verdict.CLOSED_EVIDENCE)
+    return SocleProbeReport(NEGATIVE_CONTROL, 1, (witness,), ((True,),),
+                            Verdict.NOT_CLOSED, witness, 1)
+
+
+@pytest.mark.parametrize("chain_witness, probe_witness, expected", [
+    pytest.param(None, (1, 1), ("NOT_CLOSED", [1, 1]), id="probe-witness-closed-chain"),
+    pytest.param((2, 2), (1, 1), ("NOT_CLOSED", [2, 2]), id="chain-witness-first"),
+    pytest.param(None, None, ("CLOSED_EVIDENCE", None), id="both-closed"),
+    pytest.param((2, 2), "absent", ("NOT_CLOSED", [2, 2]), id="no-probe-chain-witness"),
+    pytest.param(None, "absent", ("CLOSED_EVIDENCE", None), id="no-probe-closed-chain"),
+])
+def test_rr_and_survey_share_the_verdict_rule(monkeypatch, chain_witness, probe_witness,
+                                               expected):
+    chain = _fake_chain(chain_witness)
+    probe = None if probe_witness == "absent" else _fake_probe(probe_witness)
+    surveyed = replace(run_instance(CurveInstance.parse("5,8,11;7"), depth=1),
+                       rr=chain, probe=probe)
+    monkeypatch.setattr(ratliff_rush, "rr_chain", lambda *a, **k: chain)
+    monkeypatch.setattr(ratliff_rush, "socle_probe", lambda *a, **k: probe)
+    monkeypatch.setattr(ratliff_rush, "primary_to_max", lambda ideal: probe is not None)
+    payload = combined_report(NEGATIVE_CONTROL, 1)
+
+    verdict, witness = expected
+    assert payload["verdict"] == surveyed.rr_verdict.value == verdict
+    assert payload.get("witness") == witness

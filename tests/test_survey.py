@@ -1,4 +1,5 @@
 """Corpus enumeration, guard pooling, comparisons, and emitters."""
+import hashlib
 import json
 
 import pytest
@@ -136,6 +137,15 @@ def test_emit_json_deterministic_and_parses(mini):
     assert w["colon"]["COLON_XN"]["ideal_equal"] is True
     # Emitted JSON mirrors the dict form exactly.
     assert data == json.loads(json.dumps(mini.to_dict()))
+
+
+def test_emit_golden_bytes(mini):
+    # The JSON and CSV reports are byte-stable: any change to these digests
+    # is a change to the published survey output.
+    assert hashlib.sha256(emit(mini, Format.JSON)).hexdigest() == (
+        "d82dc576392f345ed9a3eecb612fb88e1ba1320edfd163df75fabdca0abdd4e7")
+    assert hashlib.sha256(emit(mini, Format.CSV)).hexdigest() == (
+        "4668682dfdeefbf0756f028272312c904e0e27ce17eaa3872e65bf477bbc31ec")
 
 
 def test_emit_csv_layout(mini):
