@@ -3,7 +3,7 @@ binomial generators, Groebner verification under a weighted grevlex
 order, and Ratliff-Rush closedness probing of the initial ideal."""
 
 from semicurve.errors import InternalCheckError, UserInputError
-from semicurve.ideals import MonomialIdeal, ideal_equal, minimalize
+from semicurve.ideals import MonomialIdeal
 from semicurve.kernels import BACKEND
 from semicurve.monomials import (
     WeightedGrevlexOrder,
@@ -24,9 +24,7 @@ __all__ = [
     "WeightedGrevlexOrder",
     "derive",
     "format_monomial",
-    "ideal_equal",
     "member",
-    "minimalize",
     "parse_monomial",
     "validate",
     "__version__",

@@ -5,14 +5,13 @@ probe, survey.  Instances are given as `m0,...,mp;mn` (e.g. 5,8,11;7);
 rr and probe also accept a monomial ideal as inline JSON or a path to a
 JSON file of the form {"arity": k, "gens": [[...], ...]}.
 
-Exit codes: 0 success; 1 user or validation error; 2 internal assertion
-failure; 3 a verified mismatch or NOT_CLOSED verdict.
+Exit codes: 0 success; 1 usage, user or validation error; 2 internal
+assertion failure; 3 a verified mismatch or NOT_CLOSED verdict.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from semicurve.curve import closed_form_table, initial_closed_form, patil_singh_generators
@@ -40,20 +39,14 @@ from semicurve.survey import (
     survey,
 )
 
-DEPTH_ENV = "SEMICURVE_RR_DEPTH"
+MAX_DEPTH = 8  # I^(d+1) of 21,22,23,24;16 has 256 generators at d = 4, 1,240 at d = 8
 
 
-def default_depth():
-    raw = os.environ.get(DEPTH_ENV)
-    if raw is None:
-        return 4
-    try:
-        depth = int(raw)
-    except ValueError:
-        raise UserInputError(f"{DEPTH_ENV} must be an integer, got {raw!r}") from None
-    if depth < 1:
-        raise UserInputError(f"{DEPTH_ENV} must be at least 1, got {depth}")
-    return depth
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise UserInputError, so they exit 1 like any bad input."""
+
+    def error(self, message):
+        raise UserInputError(f"{self.prog}: {message}")
 
 
 def _parse_instance(text):
@@ -310,7 +303,7 @@ def cmd_survey(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semicurve",
         description="Defining ideals of monomial curves over almost-arithmetic "
                     "sequences: generators, Groebner verification, and "
@@ -328,8 +321,8 @@ def build_parser():
             sp.add_argument("ideal", help="instance text, inline ideal JSON, "
                                           "or path to an ideal JSON file")
         if depth:
-            sp.add_argument("--depth", type=int, default=None, metavar="N",
-                            help=f"colon-chain depth (default {DEPTH_ENV} or 4)")
+            sp.add_argument("--depth", type=int, default=4, metavar="N",
+                            help=f"colon-chain depth, 1 to {MAX_DEPTH} (default 4)")
         return sp
 
     add("validate", cmd_validate, "check the normal-form hypotheses", instance=True)
@@ -348,29 +341,23 @@ def build_parser():
     add("run", cmd_run, "full pipeline on one instance", instance=True,
         depth=True)
 
-    sp = sub.add_parser("survey", help="run the pipeline over an enumerated corpus")
-    sp.set_defaults(handler=cmd_survey)
-    sp.add_argument("--json", action="store_true", help="emit JSON")
-    sp.add_argument("--out", metavar="FILE", help="write output to FILE")
+    sp = add("survey", cmd_survey, "run the pipeline over an enumerated corpus",
+             depth=True)
     sp.add_argument("--p", type=int, nargs="+", default=[1, 2],
                     help="arithmetic-part lengths p to enumerate (default: 1 2)")
     sp.add_argument("--max-mp", type=int, default=15, help="largest m_p (default 15)")
     sp.add_argument("--max-mn", type=int, default=15, help="largest m_n (default 15)")
-    sp.add_argument("--depth", type=int, default=None, metavar="N",
-                    help=f"colon-chain depth (default {DEPTH_ENV} or 4)")
     sp.add_argument("--format", choices=[f.value for f in Format],
                     help="output format (default: text, or json with --json)")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if hasattr(args, "depth") and args.depth is None:
-            args.depth = default_depth()
-        if getattr(args, "depth", 1) < 1:
-            raise UserInputError("--depth must be at least 1")
+        args = build_parser().parse_args(argv)
+        if not 1 <= getattr(args, "depth", 1) <= MAX_DEPTH:
+            raise UserInputError(f"--depth must be between 1 and {MAX_DEPTH}, "
+                                 f"got {args.depth}")
         return args.handler(args)
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,10 +37,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def zero(cls, arity):
-        return cls(arity, {})
-
-    @classmethod
     def from_binomial(cls, b):
         return cls(len(b.lead), {b.lead: Fraction(1), b.tail: Fraction(-1)})
 

@@ -16,7 +16,7 @@ import json
 
 from semicurve import kernels
 from semicurve.errors import UserInputError
-from semicurve.monomials import Mono, format_monomial, weighted_degree
+from semicurve.monomials import format_monomial, weighted_degree
 
 
 def _canonical_sort(gens, arity, weights):
@@ -50,10 +50,6 @@ class MonomialIdeal:
         raise AttributeError("MonomialIdeal is immutable")
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity, weights=None):
-        return cls(arity, [], weights=weights, _minimal=True)
 
     @classmethod
     def unit(cls, arity, weights=None):
@@ -156,18 +152,3 @@ class MonomialIdeal:
         """Canonical JSON: ``{"arity": k, "gens": [[e0, ...], ...]}``."""
         payload = {"arity": self.arity, "gens": [list(g) for g in self.gens]}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def minimalize(gens, arity=None, weights=None):
-    """Canonicalize a generator set into a MonomialIdeal."""
-    gens = [tuple(g) for g in gens]
-    if arity is None:
-        if not gens:
-            raise ValueError("arity required for an empty generator set")
-        arity = len(gens[0])
-    return MonomialIdeal(arity, gens, weights=weights)
-
-
-def ideal_equal(a, b):
-    a._check(b)
-    return a == b

@@ -53,14 +53,12 @@ def mono_colon(a: Mono, b: Mono) -> Mono:
     return tuple(max(x - y, 0) for x, y in zip(a, b))
 
 
-def variable(arity: int, index: int, power: int = 1) -> Mono:
-    """The monomial x_index^power."""
+def variable(arity: int, index: int) -> Mono:
+    """The monomial x_index."""
     if not 0 <= index < arity:
         raise ValueError(f"variable index {index} outside arity {arity}")
-    if power < 0:
-        raise ValueError(f"negative power {power}")
     e = [0] * arity
-    e[index] = power
+    e[index] = 1
     return tuple(e)
 
 

@@ -64,10 +64,7 @@ def primary_to_max(ideal):
     """True iff every variable has a pure power in the ideal.
 
     For monomial ideals this is equivalent to being primary to the maximal
-    monomial ideal.  The unit ideal passes by convention (callers flag it
-    as degenerate)."""
-    if ideal.is_unit:
-        return True
+    monomial ideal."""
     return _missing_pure_power(ideal) is None
 
 
@@ -252,11 +249,18 @@ def verdict_payload(depth, chain=None, probe=None):
     return payload
 
 
-def combined_report(ideal, depth, powers=None):
-    """Chain plus probe (when the ideal is primary to the maximal ideal)
-    as one verdict_payload."""
-    if powers is None:
-        powers = PowerCache(ideal)
+def run_stage(ideal, depth):
+    """The Ratliff-Rush stage: (chain, probe) over one shared PowerCache.
+
+    The probe runs only when the ideal is primary to the maximal ideal,
+    otherwise it is None.  rr_chain rejects the zero and unit ideals
+    before the probe is considered."""
+    powers = PowerCache(ideal)
     chain = rr_chain(ideal, depth, powers=powers)
     probe = socle_probe(ideal, depth, powers=powers) if primary_to_max(ideal) else None
-    return verdict_payload(depth, chain, probe)
+    return chain, probe
+
+
+def combined_report(ideal, depth):
+    """The rr command's verdict_payload: chain plus probe from run_stage."""
+    return verdict_payload(depth, *run_stage(ideal, depth))

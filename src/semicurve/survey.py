@@ -51,15 +51,7 @@ from semicurve.errors import UserInputError
 from semicurve.groebner import Polynomial, gb_verify, leading_ideal
 from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import format_monomial, variable
-from semicurve.ratliff_rush import (
-    PowerCache,
-    Verdict,
-    overall_verdict,
-    primary_to_max,
-    reduce_variables,
-    rr_chain,
-    socle_probe,
-)
+from semicurve.ratliff_rush import Verdict, overall_verdict, reduce_variables, run_stage
 from semicurve.semigroup import Case, CurveInstance, derive, validate
 
 
@@ -335,11 +327,7 @@ def run_instance(curve, depth=4):
 
     t0 = time.perf_counter()
     reduced, dropped = reduce_variables(computed)
-    powers = PowerCache(reduced)
-    rr = rr_chain(reduced, depth, powers=powers)
-    probe = None
-    if primary_to_max(reduced) and not reduced.is_unit:
-        probe = socle_probe(reduced, depth, powers=powers)
+    rr, probe = run_stage(reduced, depth)
     timings["rr"] = (time.perf_counter() - t0) * 1000.0
     if rr.verdict is not Verdict.CLOSED_EVIDENCE:
         failures.append(f"colon chain verdict {rr.verdict.value}")
@@ -363,6 +351,14 @@ class Bounds:
     max_mp: int
     max_mn: int
 
+    def __post_init__(self):
+        """Every bound must be at least 1; an empty p_values is allowed."""
+        bad = [f"p = {p}" for p in self.p_values if p < 1]
+        bad += [f"{name} = {v}" for name, v in (("max_mp", self.max_mp),
+                                                ("max_mn", self.max_mn)) if v < 1]
+        if bad:
+            raise UserInputError("survey bounds must be at least 1: " + ", ".join(bad))
+
     def to_dict(self):
         return {"p_values": list(self.p_values), "max_mp": self.max_mp,
                 "max_mn": self.max_mn}
@@ -372,8 +368,6 @@ def enumerate_candidates(bounds):
     """All normal-form candidate tuples within bounds, validated, in
     lexicographic (p, m0, d, mn) order."""
     for p in sorted(set(bounds.p_values)):
-        if p < 1:
-            continue
         for m0 in range(1, bounds.max_mp + 1):
             for d in range(1, (bounds.max_mp - m0) // p + 1):
                 arith = tuple(m0 + i * d for i in range(p + 1))

@@ -7,7 +7,7 @@ import random
 import time
 
 from semicurve.curve import initial_closed_form, patil_singh_generators
-from semicurve.ideals import MonomialIdeal, minimalize
+from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import WeightedGrevlexOrder, mono_mul
 from semicurve.ratliff_rush import (
     PowerCache,
@@ -175,7 +175,7 @@ def test_criterion_7_property_suites(corpus):
                 continue
             assert I.colon(J).product(J).is_subset_of(I)
             assert I.product(J).is_subset_of(I.intersect(J))
-            assert minimalize(I.gens, arity=arity) == I
+            assert MonomialIdeal(arity, I.gens) == I
 
         # Membership agrees with brute-force enumeration for >= 100 ideals.
         checked = 0

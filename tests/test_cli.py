@@ -117,18 +117,28 @@ def test_rr_ideal_from_file(tmp_path, capsys):
     assert "NOT_CLOSED" in out
 
 
-def test_rr_depth_flag_and_env(capsys, monkeypatch):
+def test_rr_depth_flag_and_env(capsys):
     code, out, _ = run(capsys, "rr", "--json", "--depth", "2", W)
     assert json.loads(out)["depth"] == 2 and code == 0
-    monkeypatch.setenv("SEMICURVE_RR_DEPTH", "3")
     code, out, _ = run(capsys, "rr", "--json", W)
-    assert json.loads(out)["depth"] == 3 and code == 0
-    monkeypatch.setenv("SEMICURVE_RR_DEPTH", "banana")
-    code, _, err = run(capsys, "rr", W)
-    assert code == 1 and "error:" in err
-    monkeypatch.setenv("SEMICURVE_RR_DEPTH", "0")
-    code, _, err = run(capsys, "rr", W)
-    assert code == 1
+    assert json.loads(out)["depth"] == 4 and code == 0
+    code, out, _ = run(capsys, "rr", "--json", "--depth", str(cli.MAX_DEPTH), W)
+    assert json.loads(out)["depth"] == 8 and code == 0
+    for depth in ("0", "9"):
+        code, out, err = run(capsys, "rr", "--depth", depth, W)
+        assert code == 1 and "between 1 and 8" in err and out == ""
+
+
+@pytest.mark.parametrize("instance", [W, "21,22,23,24;16"])
+def test_rr_and_run_see_the_same_stage(capsys, instance):
+    _, out, _ = run(capsys, "rr", "--json", instance)
+    rr = json.loads(out)
+    _, out, _ = run(capsys, "run", "--json", instance)
+    full = json.loads(out)
+    assert rr["chain_equal"] == full["rr"]["chain_equal"]
+    assert rr["socle_candidates"] == full["probe"]["candidates"]
+    assert rr["membership_table"] == full["probe"]["membership_table"]
+    assert rr["verdict"] == full["verdict"]
 
 
 def test_run_pipeline(capsys):
@@ -179,8 +189,42 @@ def test_bad_ideal_json(capsys, text):
 
 
 def test_unknown_subcommand(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["frobnicate"])
+    code, out, err = run(capsys, "frobnicate")
+    assert code == 1 and "error:" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["rr", W, "--depth", "abc"], id="depth-not-int"),
+    pytest.param(["survey", "--format", "xml"], id="bad-format"),
+    pytest.param(["rr"], id="missing-argument"),
+    pytest.param(["params", W, "--bogus"], id="unknown-option"),
+    pytest.param([], id="no-subcommand"),
+])
+def test_usage_errors_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "error:" in err and out == ""
+
+
+@pytest.mark.parametrize("argv, shown", [
+    pytest.param(["--help"], "usage: semicurve", id="top-level"),
+    pytest.param(["survey", "--help"], "colon-chain depth, 1 to 8 (default 4)", id="survey"),
+])
+def test_help_exits_0(capsys, argv, shown):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert shown in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--p", "1", "--max-mp", "-3", "--max-mn", "2"], id="negative-max-mp"),
+    pytest.param(["--p", "0", "--max-mp", "10", "--max-mn", "10"], id="p-zero"),
+    pytest.param(["--p", "1", "2", "--max-mp", "5", "--max-mn", "0"], id="zero-max-mn"),
+    pytest.param(["--p", "-1", "1", "--max-mp", "5", "--max-mn", "5"], id="negative-p"),
+])
+def test_survey_rejects_bounds_below_1(capsys, argv):
+    code, out, err = run(capsys, "survey", *argv)
+    assert code == 1 and "survey bounds must be at least 1" in err and out == ""
 
 
 SMOKE_CASES = [pytest.param([name, W], id=name) for name in (

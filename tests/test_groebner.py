@@ -30,13 +30,13 @@ def test_polynomial_construction_and_leading_term():
     f = Polynomial(4, {(0, 1, 1, 0): Fraction(1), (1, 0, 0, 2): Fraction(-1)})
     mono, coef = f.leading(ORDER)
     assert mono == (0, 1, 1, 0) and coef == 1
-    assert Polynomial.zero(4).is_zero
+    assert Polynomial(4, {}).is_zero
     assert Polynomial(4, {(0, 0, 0, 0): Fraction(0)}).is_zero
 
 
 def test_reduce_trivial_cases():
     basis = _basis()
-    assert reduce(Polynomial.zero(4), basis, ORDER).is_zero
+    assert reduce(Polynomial(4, {}), basis, ORDER).is_zero
     for g in basis:
         assert reduce(g, [g], ORDER).is_zero
         assert reduce(g, basis, ORDER).is_zero

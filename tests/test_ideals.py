@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from semicurve.ideals import MonomialIdeal, ideal_equal, minimalize
+from semicurve.ideals import MonomialIdeal
 from semicurve.ratliff_rush import PowerCache
 
 from oracles import in_ideal, monomials_upto
@@ -24,16 +24,16 @@ def test_minimal_generators_canonical():
 
 def test_minimalize_idempotent_and_order_free():
     gens = [(1, 2, 0), (0, 1, 1), (1, 3, 0), (2, 2, 2)]
-    once = minimalize(gens, arity=3)
-    assert minimalize(once.gens, arity=3) == once
+    once = MonomialIdeal(3, gens)
+    assert MonomialIdeal(3, once.gens) == once
     rng = random.Random(3)
     shuffled = list(gens)
     rng.shuffle(shuffled)
-    assert minimalize(shuffled, arity=3) == once
+    assert MonomialIdeal(3, shuffled) == once
 
 
 def test_zero_and_unit():
-    zero = MonomialIdeal.zero(2)
+    zero = MonomialIdeal(2, [])
     one = MonomialIdeal.unit(2)
     assert zero.is_zero and not zero.is_unit
     assert one.is_unit and not one.is_zero
@@ -68,7 +68,7 @@ def test_product_power_colon_intersect_hand_values():
 def test_colon_by_zero_and_unit():
     i = _ideal([(2, 0)])
     with pytest.raises(ValueError):
-        i.colon(MonomialIdeal.zero(2))
+        i.colon(MonomialIdeal(2, []))
     assert i.colon(MonomialIdeal.unit(2)) == i
 
 
@@ -116,5 +116,6 @@ def test_ideal_identities_sampled():
 def test_ideal_equal_across_weightings():
     a = MonomialIdeal(2, [(1, 0)], weights=(3, 4))
     b = MonomialIdeal(2, [(1, 0)], weights=(7, 2))
-    assert ideal_equal(a, b)
-    assert not ideal_equal(a, MonomialIdeal(2, [(0, 1)]))
+    assert a == b
+    assert a != MonomialIdeal(2, [(0, 1)])
+    assert a != MonomialIdeal(3, [(1, 0, 0)])

@@ -29,7 +29,7 @@ def test_basic_arithmetic():
 
 def test_variable_constructor():
     assert variable(4, 2) == (0, 0, 1, 0)
-    assert variable(3, 0, power=5) == (5, 0, 0)
+    assert variable(3, 0) == (1, 0, 0)
     with pytest.raises(ValueError):
         variable(3, 3)
 

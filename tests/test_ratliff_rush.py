@@ -17,6 +17,7 @@ from semicurve.ratliff_rush import (
     primary_to_max,
     reduce_variables,
     rr_chain,
+    run_stage,
     scaled_in_power,
     socle_complement,
     socle_probe,
@@ -144,6 +145,16 @@ def test_power_cache():
 
 def test_variables_ideal():
     assert variables_ideal(3).gens == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+def test_run_stage_probes_only_primary_ideals():
+    chain, probe = run_stage(NEGATIVE_CONTROL, 2)
+    assert chain.witness == probe.witness == (2, 2)
+    assert probe.candidates == socle_complement(NEGATIVE_CONTROL)
+    chain, probe = run_stage(MonomialIdeal(2, [(1, 1), (0, 2)]), 2)
+    assert probe is None and chain.depth == 2
+    with pytest.raises(UserInputError):
+        run_stage(MonomialIdeal(2, [(0, 0)]), 2)
 
 
 def test_combined_report_schema():
