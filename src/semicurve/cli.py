@@ -14,9 +14,8 @@ import argparse
 import json
 import sys
 
-from semicurve.curve import closed_form_table, initial_closed_form, patil_singh_generators
+from semicurve.curve import patil_singh_generators
 from semicurve.errors import InternalCheckError, UserInputError
-from semicurve.groebner import Polynomial, gb_verify, leading_ideal
 from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import format_monomial
 from semicurve.ratliff_rush import (
@@ -31,10 +30,9 @@ from semicurve.survey import (
     Bounds,
     Format,
     MatchStatus,
-    compare_selector,
-    evaluate_guards,
     COLON_SELECTORS,
     emit,
+    front_half,
     run_instance,
     survey,
 )
@@ -66,11 +64,10 @@ def _validated(text):
 
 def _parse_ideal(text):
     """(ideal, note) from inline JSON, a JSON file path, or an instance
-    (its computed initial ideal, unused variables dropped)."""
+    (its leading ideal with unused variables dropped, as run probes it)."""
     if ";" in text:
-        curve = _validated(text)
-        dp = derive(curve)
-        reduced, dropped = reduce_variables(initial_closed_form(dp, curve))
+        curve = _parse_instance(text)
+        reduced, dropped = reduce_variables(front_half(curve).in_ideal_computed)
         note = None
         if dropped:
             kept = [i for i in range(curve.arity) if i not in dropped]
@@ -143,12 +140,9 @@ def cmd_gens(args):
 
 
 def cmd_inideal(args):
-    curve = _validated(args.instance)
-    dp = derive(curve)
-    closed = initial_closed_form(dp, curve)
-    polys = [Polynomial.from_binomial(b) for b in patil_singh_generators(dp, curve)]
-    computed = leading_ideal(polys, curve.order())
-    match = computed == closed
+    front = front_half(_parse_instance(args.instance))
+    computed, closed = front.in_ideal_computed, front.in_ideal_closed
+    match = front.in_ideal_match is MatchStatus.MATCH
     if args.json:
         payload = json.loads(computed.to_json())
         payload["closed_form_match"] = match
@@ -163,10 +157,8 @@ def cmd_inideal(args):
 
 
 def cmd_gb_verify(args):
-    curve = _validated(args.instance)
-    dp = derive(curve)
-    polys = [Polynomial.from_binomial(b) for b in patil_singh_generators(dp, curve)]
-    report = gb_verify(polys, curve.order(), max_terms=2)
+    curve = _parse_instance(args.instance)
+    report = front_half(curve).gb
     if args.json:
         payload = {"instance": curve.text(), "passed": report.passed,
                    "pairs_checked": report.pairs_checked,
@@ -194,24 +186,15 @@ _SELECTOR_FLAGS = {
 
 
 def cmd_colon(args):
-    curve = _validated(args.instance)
-    dp = derive(curve)
-    polys = [Polynomial.from_binomial(b) for b in patil_singh_generators(dp, curve)]
-    in_ideal = leading_ideal(polys, curve.order())
-    tables = {s: closed_form_table(dp, curve, s) for s in COLON_SELECTORS}
-    guard = evaluate_guards(dp, [tables[s] for s in COLON_SELECTORS])
-    selectors = ([_SELECTOR_FLAGS[args.selector]] if args.selector
-                 else list(COLON_SELECTORS))
-    comparisons = [compare_selector(curve, in_ideal, tables[s], guard)
-                   for s in selectors]
+    front = front_half(_parse_instance(args.instance))
+    comparisons = [c for c in front.colon
+                   if not args.selector or c.selector is _SELECTOR_FLAGS[args.selector]]
     if args.json:
-        _emit_json(args, {"instance": curve.text(),
-                          "guard": {"status": guard.status.value,
-                                    "reasons": list(guard.reasons)},
+        _emit_json(args, {"instance": front.instance.text(), "guard": front.guard.to_dict(),
                           "comparisons": [c.to_dict() for c in comparisons]})
     else:
-        lines = [f"guards: {guard.status.value}"]
-        for reason in guard.reasons:
+        lines = [f"guards: {front.guard.status.value}"]
+        for reason in front.guard.reasons:
             lines.append(f"  {reason}")
         for c in comparisons:
             lines.append(f"{c.selector.value} {c.match.value}")
@@ -271,13 +254,13 @@ def cmd_probe(args):
 
 
 def cmd_run(args):
-    curve = _validated(args.instance)
+    curve = _parse_instance(args.instance)
     report = run_instance(curve, args.depth)
     if args.json:
         _emit_json(args, report.to_dict(full=True))
     else:
         lines = [f"{curve.text()} {report.params.case.value}",
-                 "gb: " + ("passed" if report.gb_passed else "FAILED"),
+                 "gb: " + ("passed" if report.gb.passed else "FAILED"),
                  f"in_ideal: {report.in_ideal_match.value}"]
         lines += [f"{c.selector.value}: {c.match.value}" for c in report.colon]
         lines.append(f"verdict: {report.rr_verdict.value}")

@@ -19,9 +19,10 @@ from semicurve.errors import UserInputError
 from semicurve.monomials import format_monomial, weighted_degree
 
 
-def _canonical_sort(gens, arity, weights):
-    ws = weights if weights is not None else (1,) * arity
-    return tuple(sorted(gens, key=lambda m: (-weighted_degree(m, ws), m)))
+def _canonical_sort(gens, weights):
+    if weights is None:
+        return tuple(sorted(gens, key=lambda m: (-sum(m), m)))
+    return tuple(sorted(gens, key=lambda m: (-weighted_degree(m, weights), m)))
 
 
 class MonomialIdeal:
@@ -43,7 +44,7 @@ class MonomialIdeal:
         if not _minimal:
             gens = kernels.minimalize(gens)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "gens", _canonical_sort(gens, arity, weights))
+        object.__setattr__(self, "gens", _canonical_sort(gens, weights))
         object.__setattr__(self, "weights", weights)
 
     def __setattr__(self, name, value):

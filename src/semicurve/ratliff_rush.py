@@ -29,15 +29,19 @@ class Verdict(Enum):
 
 
 class PowerCache:
-    """Lazily extended list of powers of a fixed ideal (I^0 = unit ideal)."""
+    """Lazily extended list of powers of a fixed ideal.  I^0, the unit
+    ideal, is built on demand: its size grows with the arity, and a zero
+    ideal from JSON input may have any arity."""
 
     __slots__ = ("ideal", "_powers")
 
     def __init__(self, ideal):
         self.ideal = ideal
-        self._powers = [MonomialIdeal.unit(ideal.arity, weights=ideal.weights), ideal]
+        self._powers = [None, ideal]
 
     def get(self, k):
+        if k == 0:
+            return MonomialIdeal.unit(self.ideal.arity, weights=self.ideal.weights)
         while len(self._powers) <= k:
             self._powers.append(self._powers[-1].product(self.ideal))
         return self._powers[k]

@@ -51,8 +51,6 @@ class SemigroupMembership:
             self._extend(x)
         return bool(self._table[x])
 
-    __contains__ = member
-
 
 @lru_cache(maxsize=None)
 def _membership_table(gens):

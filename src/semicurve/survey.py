@@ -39,8 +39,9 @@ import enum
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from semicurve import kernels
 from semicurve.curve import (
     ClosedForm,
     closed_form_table,
@@ -93,6 +94,9 @@ class GuardReport:
     @property
     def violated(self):
         return self.status is GuardStatus.GUARD_VIOLATED_INFO
+
+    def to_dict(self):
+        return {"status": self.status.value, "reasons": list(self.reasons)}
 
 
 def evaluate_guards(dp, tables):
@@ -213,16 +217,14 @@ class InstanceReport:
     instance: CurveInstance
     params: object
     generators: tuple
-    gb_passed: bool
-    gb_pairs_checked: int
-    gb_pairs_skipped: int
+    gb: object                   # GBReport
     in_ideal_computed: MonomialIdeal
     in_ideal_closed: MonomialIdeal
     in_ideal_match: MatchStatus
     guard: GuardReport           # instance-level comparator guard
     colon: tuple                 # ColonComparison in COLON_SELECTORS order
     dropped_vars: tuple
-    rr: object                   # RRChainReport
+    rr: object                   # RRChainReport, None from front_half
     probe: object | None         # SocleProbeReport, None if not primary
     errata: tuple
     failures: tuple
@@ -241,17 +243,14 @@ class InstanceReport:
             "instance": self.instance.text(),
             "case": self.params.case.value,
             "params": self.params.to_dict(),
-            "gb_passed": self.gb_passed,
-            "gb_pairs": [self.gb_pairs_checked, self.gb_pairs_skipped],
+            "gb_passed": self.gb.passed,
+            "gb_pairs": [self.gb.pairs_checked, self.gb.pairs_skipped_coprime],
             "in_ideal": {
                 "match": self.in_ideal_match.value,
                 "computed": [list(m) for m in self.in_ideal_computed.gens],
                 "closed_form": [list(m) for m in self.in_ideal_closed.gens],
             },
-            "guard": {
-                "status": self.guard.status.value,
-                "reasons": list(self.guard.reasons),
-            },
+            "guard": self.guard.to_dict(),
             "colon": {c.selector.value: c.to_dict() for c in self.colon},
             "dropped_vars": list(self.dropped_vars),
             "rr": {
@@ -280,8 +279,11 @@ class InstanceReport:
         return d
 
 
-def run_instance(curve, depth=4):
-    """Full pipeline on one instance; raises UserInputError on bad input."""
+def front_half(curve):
+    """Every stage before Ratliff-Rush, shared by run_instance and the
+    inideal, gb-verify, colon, rr and probe views; raises UserInputError on
+    bad input.  The report's rr and probe are None and dropped_vars is
+    empty, so it must not be emitted: only run_instance completes it."""
     report = validate(curve.arith, curve.extra)
     if not report.ok:
         raise UserInputError(report.first)
@@ -325,10 +327,20 @@ def run_instance(curve, depth=4):
             errata.append(ErrataEntry(curve.text(), c.selector.value,
                                       c.guard.reasons, c.literal, c.engine))
 
+    return InstanceReport(curve, dp, gens, gb, computed, closed, in_match, guard,
+                          colon, (), None, None, tuple(errata), tuple(failures),
+                          timings)
+
+
+def run_instance(curve, depth=4):
+    """Full pipeline on one instance; raises UserInputError on bad input."""
+    front = front_half(curve)
+    failures = list(front.failures)
+
     t0 = time.perf_counter()
-    reduced, dropped = reduce_variables(computed)
+    reduced, dropped = reduce_variables(front.in_ideal_computed)
     rr, probe = run_stage(reduced, depth)
-    timings["rr"] = (time.perf_counter() - t0) * 1000.0
+    timings = {**front.timings_ms, "rr": (time.perf_counter() - t0) * 1000.0}
     if rr.verdict is not Verdict.CLOSED_EVIDENCE:
         failures.append(f"colon chain verdict {rr.verdict.value}")
     if probe is None:
@@ -339,10 +351,8 @@ def run_instance(curve, depth=4):
         if probe.verdict is not rr.verdict:
             failures.append("chain and probe verdicts disagree")
 
-    return InstanceReport(curve, dp, gens, gb.passed, gb.pairs_checked,
-                          gb.pairs_skipped_coprime, computed, closed, in_match,
-                          guard, colon, dropped, rr, probe, tuple(errata),
-                          tuple(failures), timings)
+    return replace(front, dropped_vars=dropped, rr=rr, probe=probe,
+                               failures=tuple(failures), timings_ms=timings)
 
 
 @dataclass(frozen=True)
@@ -364,25 +374,19 @@ class Bounds:
                 "max_mn": self.max_mn}
 
 
-def enumerate_candidates(bounds):
-    """All normal-form candidate tuples within bounds, validated, in
-    lexicographic (p, m0, d, mn) order."""
+def enumerate_instances(bounds):
+    """Validated normal-form instances within bounds, in lexicographic
+    (p, m0, d, mn) order; returns (instances, rejects)."""
+    kept, rejects = [], 0
     for p in sorted(set(bounds.p_values)):
         for m0 in range(1, bounds.max_mp + 1):
             for d in range(1, (bounds.max_mp - m0) // p + 1):
                 arith = tuple(m0 + i * d for i in range(p + 1))
                 for mn in range(1, bounds.max_mn + 1):
-                    yield CurveInstance(arith, mn), validate(arith, mn)
-
-
-def enumerate_instances(bounds):
-    """Validated instances only, same order; returns (instances, rejects)."""
-    kept, rejects = [], 0
-    for curve, report in enumerate_candidates(bounds):
-        if report.ok:
-            kept.append(curve)
-        else:
-            rejects += 1
+                    if validate(arith, mn).ok:
+                        kept.append(CurveInstance(arith, mn))
+                    else:
+                        rejects += 1
     return kept, rejects
 
 
@@ -461,7 +465,7 @@ class SurveyReport:
             "depth": self.depth,
             "totals": {"instances": len(self.instances), **self.case_counts},
             "rejects": self.rejects,
-            "gb_passed": sum(1 for r in self.instances if r.gb_passed),
+            "gb_passed": sum(1 for r in self.instances if r.gb.passed),
             "in_ideal_matched": sum(1 for r in self.instances
                                     if r.in_ideal_match is MatchStatus.MATCH),
             "colon": self.colon_stats,
@@ -509,7 +513,7 @@ def _csv_row(rep):
     return (
         rep.instance.text(),
         rep.params.case.value,
-        str(rep.gb_passed).lower(),
+        str(rep.gb.passed).lower(),
         rep.in_ideal_match.value,
         *(by_selector[s].match.value for s in COLON_SELECTORS),
         rep.rr.verdict.value,
@@ -529,7 +533,7 @@ def _params_line(dp):
 def _text_lines(report):
     yield (f"survey: p in {sorted(set(report.bounds.p_values))}, "
            f"m_p <= {report.bounds.max_mp}, m_n <= {report.bounds.max_mn}, "
-           f"depth {report.depth}")
+           f"depth {report.depth}, backend {kernels.BACKEND}")
     totals = report.case_counts
     yield (f"instances: {len(report.instances)} "
            f"(CASE1 {totals['CASE1']}, CASE2 {totals['CASE2']}), "
@@ -539,7 +543,7 @@ def _text_lines(report):
     for rep in report.instances:
         cols = " ".join(f"{c.selector.value.lower()}={c.match.value}" for c in rep.colon)
         yield (f"{rep.instance.text()} {rep.params.case.value} | {_params_line(rep.params)}"
-               f" | gb={'ok' if rep.gb_passed else 'FAIL'}"
+               f" | gb={'ok' if rep.gb.passed else 'FAIL'}"
                f" in_ideal={rep.in_ideal_match.value} {cols}"
                f" verdict={rep.rr_verdict.value}"
                + (" FAILED" if rep.failed else ""))

@@ -77,7 +77,7 @@ def test_criterion_2_basis_verification_on_corpus(corpus):
     with Criterion(2, "basis verification across corpus") as c:
         n = len(corpus.instances)
         assert n >= 100
-        failed = [r.instance.text() for r in corpus.instances if not r.gb_passed]
+        failed = [r.instance.text() for r in corpus.instances if not r.gb.passed]
         assert failed == []
         assert corpus.wall_ms < 600_000
         c.detail = (f"{n} instances all verified, "

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON payloads, files."""
 import json
+import tracemalloc
 
 import pytest
 
@@ -129,16 +130,42 @@ def test_rr_depth_flag_and_env(capsys):
         assert code == 1 and "between 1 and 8" in err and out == ""
 
 
-@pytest.mark.parametrize("instance", [W, "21,22,23,24;16"])
+@pytest.mark.parametrize("instance", [W, "21,22,23,24;16", "22,24,26,28;39"])
 def test_rr_and_run_see_the_same_stage(capsys, instance):
-    _, out, _ = run(capsys, "rr", "--json", instance)
-    rr = json.loads(out)
-    _, out, _ = run(capsys, "run", "--json", instance)
-    full = json.loads(out)
+    def view(*argv):
+        code, out, _ = run(capsys, *argv, "--json", instance)
+        return code, json.loads(out)
+
+    run_code, full = view("run")
+    _, rr = view("rr")
     assert rr["chain_equal"] == full["rr"]["chain_equal"]
     assert rr["socle_candidates"] == full["probe"]["candidates"]
     assert rr["membership_table"] == full["probe"]["membership_table"]
     assert rr["verdict"] == full["verdict"]
+    _, inideal = view("inideal")
+    assert inideal["gens"] == full["in_ideal"]["computed"]
+    assert inideal["closed_form_match"] == (full["in_ideal"]["match"] == "MATCH")
+    _, gb = view("gb-verify")
+    assert gb["passed"] == full["gb_passed"]
+    assert [gb["pairs_checked"], gb["pairs_skipped_coprime"]] == full["gb_pairs"]
+    colon_code, colon = view("colon")
+    assert colon["guard"] == full["guard"]
+    assert {c["selector"]: c for c in colon["comparisons"]} == full["colon"]
+    if instance == "22,24,26,28;39":
+        assert full["colon"]["SOCLE_RHO_CHI"]["match"] == "MISMATCH"
+        assert colon_code == run_code == 3
+
+
+@pytest.mark.parametrize("command", ["rr", "probe"])
+def test_zero_ideal_memory_does_not_grow_with_arity(capsys, command):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, '{"arity": 1000000, "gens": []}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "error:" in err and out == ""
+    assert peak < 1_000_000
 
 
 def test_run_pipeline(capsys):

@@ -35,7 +35,7 @@ def mini():
 def test_mini_survey_green(mini):
     assert mini.ok
     assert len(mini.instances) == 578 and mini.rejects == 1732
-    assert all(rep.gb_passed for rep in mini.instances)
+    assert all(rep.gb.passed for rep in mini.instances)
     assert all(rep.in_ideal_match is MatchStatus.MATCH for rep in mini.instances)
     assert all(rep.rr_verdict.value == "CLOSED_EVIDENCE" for rep in mini.instances)
     assert not mini.failed_instances
