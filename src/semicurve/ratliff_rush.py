@@ -5,22 +5,26 @@ ideals I^(k+1) : I^k over all k >= 1; I is closed when the union adds
 nothing.  Only finitely many depths are ever inspected here, so a closed
 verdict is always labelled evidence, never proof.  A not-closed verdict,
 by contrast, is final: it carries a witness monomial whose membership in
-some I^(k+1) : I^k is re-certified by direct divisibility scans.
+some I^(k+1) : I^k is re-certified by the generic colon.
 
-For ideals primary to the maximal monomial ideal there is a finite
-candidate set: any element of the closure outside I can be multiplied up
-to one that every variable pushes into I.  socle_probe checks exactly
-those candidates against the colon chain.
+For ideals primary to the maximal monomial ideal the standard monomials
+(those outside I) are finitely many, and every generator of I^(k+1) : I^k
+outside I is one of them; rr_chain builds the chain from a membership
+test per standard monomial.  There is also a smaller candidate set: any
+element of the closure outside I can be multiplied up to one that every
+variable pushes into I.  socle_probe checks exactly those candidates
+against the colon chain.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 
 from semicurve import kernels
 from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
-from semicurve.monomials import mono_mul, unit, variable
+from semicurve.monomials import unit, variable
 
 
 class Verdict(Enum):
@@ -64,6 +68,13 @@ def _missing_pure_power(ideal):
     return None
 
 
+def _require_primary(ideal):
+    missing = _missing_pure_power(ideal)
+    if missing is not None:
+        raise UserInputError(
+            f"ideal is not primary to the maximal ideal: no pure power of x{missing}")
+
+
 def primary_to_max(ideal):
     """True iff every variable has a pure power in the ideal.
 
@@ -96,26 +107,48 @@ def socle_complement(ideal):
     finiteness argument needs the quotient by I to have finite length."""
     if ideal.is_zero or ideal.is_unit:
         raise UserInputError("socle complement needs a proper nonzero ideal")
-    missing = _missing_pure_power(ideal)
-    if missing is not None:
-        raise UserInputError(
-            f"ideal is not primary to the maximal ideal: no pure power of x{missing}")
+    _require_primary(ideal)
     quotient = ideal.colon(variables_ideal(ideal.arity, weights=ideal.weights))
     return tuple(g for g in quotient.gens if g not in ideal)
 
 
+def standard_monomials(ideal):
+    """The monomials outside the ideal, found by a walk from the unit
+    monomial that raises one exponent at a time and stops at members of
+    the ideal.  Raises on a proper ideal without a pure power of every
+    variable, whose set of standard monomials is infinite."""
+    arity = ideal.arity
+    start = unit(arity)
+    if start in ideal:
+        return ()
+    _require_primary(ideal)
+    seen = {start}
+    found = [start]
+    for mono in found:
+        for i in range(arity):
+            up = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+            if up not in seen:
+                seen.add(up)
+                if up not in ideal:
+                    found.append(up)
+    return tuple(found)
+
+
 def scaled_in_power(mono, power_k, power_k1):
-    """True iff mono * power_k is contained in power_k1 (divisibility scans)."""
-    targets = [mono_mul(mono, g) for g in power_k.gens]
-    return kernels.all_divisible(targets, list(power_k1.gens))
+    """True iff mono * power_k is contained in power_k1 (divisibility scans).
+    The products are formed lazily, so the scan stops at the first miss."""
+    if len(mono) != power_k.arity:
+        raise ValueError(f"arity mismatch: monomial {len(mono)} vs ideal {power_k.arity}")
+    targets = (tuple(map(add, mono, g)) for g in power_k.gens)
+    return kernels.all_divisible(targets, power_k1.gens)
 
 
 def certify_witness(ideal, witness, k, powers):
-    """Re-verify a not-closed witness independently of the colon engine:
-    witness must lie outside I and witness * I^k inside I^(k+1)."""
+    """Re-verify a not-closed witness with an engine that did not find it:
+    witness must lie outside I and inside the generic colon I^(k+1) : I^k."""
     if witness in ideal:
         raise InternalCheckError("witness lies in the ideal")
-    if not scaled_in_power(witness, powers.get(k), powers.get(k + 1)):
+    if witness not in powers.get(k + 1).colon(powers.get(k)):
         raise InternalCheckError(f"witness fails the depth-{k} colon membership")
 
 
@@ -134,19 +167,29 @@ class RRChainReport:
 def rr_chain(ideal, depth, powers=None):
     """Compute the colon chain J_k = I^(k+1) : I^k for k = 1..depth.
 
-    Verdict is CLOSED_EVIDENCE iff every J_k equals I (evidence only:
-    deeper colons could still grow), NOT_CLOSED with a certified witness
-    as soon as some J_k is strictly larger.  The chain must ascend and
-    start at or above I; violations are internal errors."""
+    For an ideal primary to the maximal ideal, J_k is I plus the standard
+    monomials s with s * I^k <= I^(k+1), each tested afresh at every k;
+    otherwise it is the generic colon.  Verdict is CLOSED_EVIDENCE iff
+    every J_k equals I (evidence only: deeper colons could still grow),
+    NOT_CLOSED with a certified witness as soon as some J_k is strictly
+    larger.  The chain must ascend and start at or above I; violations
+    are internal errors."""
     if depth < 1:
         raise UserInputError("chain depth must be at least 1")
     if ideal.is_zero or ideal.is_unit:
         raise UserInputError("colon chain needs a proper nonzero ideal")
     if powers is None:
         powers = PowerCache(ideal)
+    std = standard_monomials(ideal) if primary_to_max(ideal) else None
     chain = []
     for k in range(1, depth + 1):
-        j_k = powers.get(k + 1).colon(powers.get(k))
+        if std is None:
+            j_k = powers.get(k + 1).colon(powers.get(k))
+        else:
+            power_k, power_k1 = powers.get(k), powers.get(k + 1)
+            j_k = MonomialIdeal(ideal.arity, ideal.gens + tuple(
+                s for s in std if scaled_in_power(s, power_k, power_k1)),
+                weights=ideal.weights)
         below = ideal if not chain else chain[-1]
         if not below.is_subset_of(j_k):
             raise InternalCheckError(f"colon chain not ascending at depth {k}")

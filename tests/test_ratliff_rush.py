@@ -1,4 +1,6 @@
 """Colon-chain closedness evidence and the certified non-closed control."""
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -21,12 +23,13 @@ from semicurve.ratliff_rush import (
     scaled_in_power,
     socle_complement,
     socle_probe,
+    standard_monomials,
     variables_ideal,
 )
 from semicurve.semigroup import CurveInstance, derive
 from semicurve.survey import run_instance
 
-from oracles import power_gens, product_gens, in_ideal
+from oracles import in_ideal, members_upto, monomials_upto, power_gens, product_gens
 
 NEGATIVE_CONTROL = MonomialIdeal(2, [(4, 0), (3, 1), (1, 3), (0, 4)])
 
@@ -130,6 +133,16 @@ def test_certify_witness():
         certify_witness(NEGATIVE_CONTROL, (1, 1), 1, powers)
 
 
+def test_standard_monomials():
+    assert set(standard_monomials(NEGATIVE_CONTROL)) == {
+        m for m in monomials_upto(2, 4) if not in_ideal(m, NEGATIVE_CONTROL.gens)}
+    assert standard_monomials(MonomialIdeal(2, [(0, 0)])) == ()
+    assert standard_monomials(MonomialIdeal(1, [(3,)])) == ((0,), (1,), (2,))
+    for infinite in (MonomialIdeal(2, []), MonomialIdeal(2, [(1, 1), (0, 2)])):
+        with pytest.raises(UserInputError):
+            standard_monomials(infinite)
+
+
 def test_scaled_in_power():
     powers = PowerCache(NEGATIVE_CONTROL)
     assert scaled_in_power((2, 2), powers.get(1), powers.get(2))
@@ -207,3 +220,60 @@ def test_rr_and_survey_share_the_verdict_rule(monkeypatch, chain_witness, probe_
     verdict, witness = expected
     assert payload["verdict"] == surveyed.rr_verdict.value == verdict
     assert payload.get("witness") == witness
+
+
+def _generic_chain(ideal, depth):
+    """J_k = I^(k+1) : I^k for k = 1..depth by the generic colon."""
+    powers = PowerCache(ideal)
+    return tuple(powers.get(k + 1).colon(powers.get(k)) for k in range(1, depth + 1))
+
+
+def _assert_chain_parity(ideal, chain, probe):
+    assert [j.gens for j in chain.chain] == [
+        j.gens for j in _generic_chain(ideal, chain.depth)]
+    assert chain.verdict is probe.verdict
+    assert chain.witness_depth == probe.witness_depth
+
+
+def _gapped_ideals(count, seed):
+    """Seeded primary ideals: every pure power x_i^D plus a random subset of
+    the other degree-D monomials, in 2 or 3 variables, D in 3..5."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        arity, top = rng.randrange(2, 4), rng.randrange(3, 6)
+        mixed = [m for m in itertools.product(range(top + 1), repeat=arity)
+                 if sum(m) == top and max(m) < top]
+        pure = [tuple(top if j == i else 0 for j in range(arity)) for i in range(arity)]
+        yield MonomialIdeal(arity, pure + [m for m in mixed if rng.random() < 0.5])
+
+
+def test_chain_matches_generic_colon_on_gapped_ideals():
+    verdicts = []
+    for ideal in _gapped_ideals(300, seed=5):
+        chain, probe = run_stage(ideal, 2)
+        _assert_chain_parity(ideal, chain, probe)
+        verdicts.append(chain.verdict)
+    # Both verdicts occur, so the parity covers grown chains too.
+    assert Verdict.NOT_CLOSED in verdicts and Verdict.CLOSED_EVIDENCE in verdicts
+
+
+def test_chain_matches_generic_colon_on_corpus_sample(corpus):
+    sample = corpus.instances[::24]
+    assert len(sample) == 193
+    for rep in sample:
+        _assert_chain_parity(rep.rr.ideal, rep.rr, rep.probe)
+
+
+def test_standard_monomials_give_the_apery_set(corpus):
+    # k[x]/(I + x0) is k[S]/(t^m0), whose graded pieces have dimension at
+    # most 1, so the weighted degrees of the standard monomials of the
+    # reduced leading ideal are Ap(S, m0) = {s in S : s - m0 not in S}.
+    for rep in corpus.instances:
+        ideal, dropped = reduce_variables(rep.in_ideal_computed)
+        assert dropped == (0,)
+        m0 = rep.instance.arith[0]
+        std = standard_monomials(ideal)
+        assert len(std) == m0
+        degrees = sorted(sum(w * e for w, e in zip(ideal.weights, s)) for s in std)
+        members = members_upto(rep.instance.weights, degrees[-1])
+        assert degrees == sorted(s for s in members if s - m0 not in members)
