@@ -17,8 +17,10 @@ from operator import le
 
 BACKEND = "python"
 
-# g divides m iff all(map(le, g, m)): componentwise <=, written inline in
-# the loops below because a helper call per pair costs more than the test.
+
+def _divides(a, b):
+    """True iff monomial a divides b (componentwise <=)."""
+    return all(map(le, a, b))
 
 
 def _minimalize(rows):
@@ -26,7 +28,7 @@ def _minimalize(rows):
     kept = []
     for m in uniq:
         for g in kept:
-            if all(map(le, g, m)):
+            if _divides(g, m):
                 break
         else:
             kept.append(m)
@@ -35,7 +37,7 @@ def _minimalize(rows):
 
 def _divides_any(rows, target):
     for g in rows:
-        if all(map(le, g, target)):
+        if _divides(g, target):
             return True
     return False
 

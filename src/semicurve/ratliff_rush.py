@@ -10,21 +10,22 @@ some I^(k+1) : I^k is re-certified by the generic colon.
 For ideals primary to the maximal monomial ideal the standard monomials
 (those outside I) are finitely many, and every generator of I^(k+1) : I^k
 outside I is one of them; rr_chain builds the chain from a membership
-test per standard monomial.  There is also a smaller candidate set: any
-element of the closure outside I can be multiplied up to one that every
-variable pushes into I.  socle_probe checks exactly those candidates
-against the colon chain.
+test per standard monomial, as long as there are no more of them than
+the generic colon would form quotients.  There is also a smaller
+candidate set: any element of the closure outside I can be multiplied up
+to one that every variable pushes into I.  socle_probe checks exactly
+those candidates against the colon chain.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
+from itertools import islice
 
 from semicurve import kernels
 from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
-from semicurve.monomials import unit, variable
+from semicurve.monomials import mono_mul, unit, variable
 
 
 class Verdict(Enum):
@@ -112,35 +113,47 @@ def socle_complement(ideal):
     return tuple(g for g in quotient.gens if g not in ideal)
 
 
-def standard_monomials(ideal):
-    """The monomials outside the ideal, found by a walk from the unit
-    monomial that raises one exponent at a time and stops at members of
-    the ideal.  Raises on a proper ideal without a pure power of every
-    variable, whose set of standard monomials is infinite."""
-    arity = ideal.arity
-    start = unit(arity)
-    if start in ideal:
-        return ()
-    _require_primary(ideal)
-    seen = {start}
-    found = [start]
+def _walk_standard(ideal):
+    """Yield the monomials outside a proper ideal primary to the maximal
+    ideal: a walk from the unit monomial that raises one exponent at a
+    time and stops at members of the ideal."""
+    found = [unit(ideal.arity)]
+    seen = set(found)
     for mono in found:
-        for i in range(arity):
+        yield mono
+        for i in range(ideal.arity):
             up = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
             if up not in seen:
                 seen.add(up)
                 if up not in ideal:
                     found.append(up)
-    return tuple(found)
+
+
+def standard_monomials(ideal):
+    """The monomials outside the ideal, in walk order.  Raises on a proper
+    ideal without a pure power of every variable: the set is infinite."""
+    if unit(ideal.arity) in ideal:
+        return ()
+    _require_primary(ideal)
+    return tuple(_walk_standard(ideal))
+
+
+def _bounded_standard_monomials(ideal, depth, powers):
+    """The standard monomials of a proper ideal primary to the maximal
+    ideal, or None if they outnumber the single-monomial quotients of the
+    generic colon chain, |I^k| * |I^(k+1)| for k = 1..depth: their number
+    grows with the exponents, the generic colon's does not."""
+    budget = sum(len(powers.get(k).gens) * len(powers.get(k + 1).gens)
+                 for k in range(1, depth + 1))
+    std = tuple(islice(_walk_standard(ideal), budget + 1))
+    return std if len(std) <= budget else None
 
 
 def scaled_in_power(mono, power_k, power_k1):
     """True iff mono * power_k is contained in power_k1 (divisibility scans).
     The products are formed lazily, so the scan stops at the first miss."""
-    if len(mono) != power_k.arity:
-        raise ValueError(f"arity mismatch: monomial {len(mono)} vs ideal {power_k.arity}")
-    targets = (tuple(map(add, mono, g)) for g in power_k.gens)
-    return kernels.all_divisible(targets, power_k1.gens)
+    return kernels.all_divisible((mono_mul(mono, g) for g in power_k.gens),
+                                 power_k1.gens)
 
 
 def certify_witness(ideal, witness, k, powers):
@@ -167,8 +180,8 @@ class RRChainReport:
 def rr_chain(ideal, depth, powers=None):
     """Compute the colon chain J_k = I^(k+1) : I^k for k = 1..depth.
 
-    For an ideal primary to the maximal ideal, J_k is I plus the standard
-    monomials s with s * I^k <= I^(k+1), each tested afresh at every k;
+    J_k is I plus the standard monomials s with s * I^k <= I^(k+1), each
+    tested afresh at every k, when _bounded_standard_monomials finds them;
     otherwise it is the generic colon.  Verdict is CLOSED_EVIDENCE iff
     every J_k equals I (evidence only: deeper colons could still grow),
     NOT_CLOSED with a certified witness as soon as some J_k is strictly
@@ -180,7 +193,7 @@ def rr_chain(ideal, depth, powers=None):
         raise UserInputError("colon chain needs a proper nonzero ideal")
     if powers is None:
         powers = PowerCache(ideal)
-    std = standard_monomials(ideal) if primary_to_max(ideal) else None
+    std = _bounded_standard_monomials(ideal, depth, powers) if primary_to_max(ideal) else None
     chain = []
     for k in range(1, depth + 1):
         if std is None:

@@ -41,7 +41,6 @@ import json
 import time
 from dataclasses import dataclass, replace
 
-from semicurve import kernels
 from semicurve.curve import (
     ClosedForm,
     closed_form_table,
@@ -533,7 +532,7 @@ def _params_line(dp):
 def _text_lines(report):
     yield (f"survey: p in {sorted(set(report.bounds.p_values))}, "
            f"m_p <= {report.bounds.max_mp}, m_n <= {report.bounds.max_mn}, "
-           f"depth {report.depth}, backend {kernels.BACKEND}")
+           f"depth {report.depth}")
     totals = report.case_counts
     yield (f"instances: {len(report.instances)} "
            f"(CASE1 {totals['CASE1']}, CASE2 {totals['CASE2']}), "

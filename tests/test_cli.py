@@ -156,6 +156,22 @@ def test_rr_and_run_see_the_same_stage(capsys, instance):
         assert colon_code == run_code == 3
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("rr", {"chain_equal": [True] * 4, "depth": 4,
+            "membership_table": [[False] * 4], "socle_candidates": [[99999, 99999]],
+            "verdict": "CLOSED_EVIDENCE"}),
+    ("probe", {"degenerate": False, "depth": 4,
+               "membership_table": [[False] * 4], "socle_candidates": [[99999, 99999]],
+               "verdict": "CLOSED_EVIDENCE"}),
+])
+def test_large_exponents_stay_cheap(capsys, command, payload):
+    # 10^10 monomials lie outside this ideal; neither command may visit them.
+    code, out, err = run(capsys, command, '{"arity": 2, "gens": [[100000, 0], [0, 100000]]}',
+                         "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == payload
+
+
 @pytest.mark.parametrize("command", ["rr", "probe"])
 def test_zero_ideal_memory_does_not_grow_with_arity(capsys, command):
     tracemalloc.start()

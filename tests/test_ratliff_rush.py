@@ -247,13 +247,20 @@ def _gapped_ideals(count, seed):
         yield MonomialIdeal(arity, pure + [m for m in mixed if rng.random() < 0.5])
 
 
+def _takes_standard_engine(ideal, depth):
+    """True iff rr_chain builds this ideal's chain from standard monomials."""
+    return ratliff_rush._bounded_standard_monomials(ideal, depth, PowerCache(ideal)) is not None
+
+
 def test_chain_matches_generic_colon_on_gapped_ideals():
     verdicts = []
     for ideal in _gapped_ideals(300, seed=5):
         chain, probe = run_stage(ideal, 2)
         _assert_chain_parity(ideal, chain, probe)
-        verdicts.append(chain.verdict)
-    # Both verdicts occur, so the parity covers grown chains too.
+        if _takes_standard_engine(ideal, 2):
+            verdicts.append(chain.verdict)
+    # Both verdicts occur among the chains built from standard monomials,
+    # so the parity covers grown chains of that engine too.
     assert Verdict.NOT_CLOSED in verdicts and Verdict.CLOSED_EVIDENCE in verdicts
 
 
@@ -261,7 +268,15 @@ def test_chain_matches_generic_colon_on_corpus_sample(corpus):
     sample = corpus.instances[::24]
     assert len(sample) == 193
     for rep in sample:
+        assert _takes_standard_engine(rep.rr.ideal, rep.rr.depth)
         _assert_chain_parity(rep.rr.ideal, rep.rr, rep.probe)
+
+
+def test_standard_monomial_walk_is_capped():
+    # (x^D, y^D) has D^2 standard monomials; at depth 2 the generic colon
+    # chain forms 2*3 + 3*4 = 18 single-monomial quotients.
+    assert _takes_standard_engine(MonomialIdeal(2, [(4, 0), (0, 4)]), 2)
+    assert not _takes_standard_engine(MonomialIdeal(2, [(5, 0), (0, 5)]), 2)
 
 
 def test_standard_monomials_give_the_apery_set(corpus):
