@@ -2,12 +2,20 @@
 
 An instance is an arithmetic sequence m0 < m1 < ... < mp together with one
 extra generator mn (n = p+1); the full list generates the numerical
-semigroup the curve is modeled on.  This module provides exact membership
-(dynamic-programming reachability; no Frobenius shortcuts, since the
-arithmetic part alone may have gcd > 1), the g_t ladder, the set S of
-semigroup elements whose predecessor by m0 falls outside, and the
-derivation of the structure parameters (u, v, w, z, lam, mu, q, r, q_z,
-r_z, eps) with exhaustive uniqueness verification.
+semigroup the curve is modeled on.  This module provides exact membership,
+the g_t ladder, the set S of semigroup elements whose predecessor by m0
+falls outside, and the derivation of the structure parameters (u, v, w, z,
+lam, mu, q, r, q_z, r_z, eps) with exhaustive uniqueness verification.
+
+Membership goes through the Apery set Ap(S, m) of the least generator m:
+its entry for residue i is the least element of S congruent to i mod m, so
+x lies in S iff x >= Ap[x mod m].  The set is built by the round-robin
+algorithm of Boecker and Liptak (Algorithmica 48, 2007) in O(k*m) integer
+steps for k generators.  A residue class that no combination reaches keeps
+an infinite sentinel: the arithmetic part alone may have gcd > 1.  Below
+2*m the only elements are 0 and the generators themselves, so `member`
+answers such queries without building a set.  `validate` bounds every
+generator by MAX_GENERATOR, which bounds the length of every Apery set.
 """
 from __future__ import annotations
 
@@ -19,47 +27,58 @@ from functools import lru_cache
 from semicurve.errors import InternalCheckError
 from semicurve.monomials import WeightedGrevlexOrder
 
+MAX_GENERATOR = 10 ** 6  # an Apery set is a list as long as the least generator
+
 
 class SemigroupMembership:
-    """Grow-only reachability table for one generator tuple."""
+    """Apery set of one generator tuple with respect to its least generator.
+
+    `apery[i]` is the least semigroup element congruent to i modulo
+    `generators[0]`, or `math.inf` when the generators reach no element of
+    that class.  Round robin (Boecker & Liptak 2007): each further generator
+    a splits the residues into gcd(a, m) cycles of step a; each cycle is
+    walked once from its least entry, and every step continues from the
+    smaller of the value carried along and the value already stored.
+    """
 
     def __init__(self, generators):
         gens = tuple(sorted({int(g) for g in generators}))
         if not gens or gens[0] <= 0:
             raise ValueError("generators must be positive integers")
         self.generators = gens
-        self._table = bytearray(1)
-        self._table[0] = 1
-
-    def _extend(self, limit):
-        table = self._table
-        old = len(table)
-        new_len = max(old * 2, limit + 1)
-        table.extend(bytearray(new_len - old))
-        for i in range(old, new_len):
-            for g in self.generators:
-                if g > i:
-                    break
-                if table[i - g]:
-                    table[i] = 1
-                    break
+        m = gens[0]
+        apery = [math.inf] * m
+        apery[0] = 0
+        for a in gens[1:]:
+            d = math.gcd(a, m)
+            for start in range(d):
+                n = min(apery[start::d])
+                if n == math.inf:
+                    continue
+                for _ in range(m // d - 1):
+                    n += a
+                    r = n % m
+                    if apery[r] < n:
+                        n = apery[r]
+                    else:
+                        apery[r] = n
+        self.apery = apery
 
     def member(self, x):
-        if x < 0:
-            return False
-        if x >= len(self._table):
-            self._extend(x)
-        return bool(self._table[x])
+        return x >= 0 and x >= self.apery[x % len(self.apery)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _membership_table(gens):
     return SemigroupMembership(gens)
 
 
 def member(generators, x):
     """True iff x is a nonnegative integer combination of the generators."""
-    return _membership_table(tuple(sorted(set(generators)))).member(x)
+    gens = tuple(sorted(set(generators)))
+    if gens and gens[0] > 0 and x < 2 * gens[0]:
+        return x == 0 or x in gens
+    return _membership_table(gens).member(x)
 
 
 def t_decompose(t, arith):
@@ -250,6 +269,8 @@ def validate(arith, extra):
             d = arith[1] - arith[0]
             if any(b - a != d for a, b in zip(arith, arith[1:])):
                 failures.append("arithmetic part must have a constant common difference")
+    if not failures and max(arith[-1], extra) > MAX_GENERATOR:
+        failures.append(f"generators must not exceed {MAX_GENERATOR}")
     if not failures:
         full = arith + (extra,)
         if math.gcd(*full) != 1:

@@ -172,6 +172,31 @@ def test_large_exponents_stay_cheap(capsys, command, payload):
     assert json.loads(out) == payload
 
 
+def test_large_instance_params_stay_cheap(capsys):
+    # derive asks membership of values up to v * mn, about 2 * 10^8; the
+    # Apery set it answers from has 20000 entries.
+    code, out, err = run(capsys, "params", "--json", "20000,20001;19999")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "instance": "20000,20001;19999", "u": 10000, "v": 10001, "w": 10000, "z": 9999,
+        "lam": 1, "mu": 1, "q": 9999, "r": 1, "q_z": 9998, "r_z": 1, "eps": 1,
+        "case": "CASE1"}
+
+
+@pytest.mark.parametrize("command", ["validate", "params", "gens", "run"])
+def test_generator_above_limit_exits_1(capsys, command):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, "1000001,1000002;1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "1000000" in out + err
+    if command != "validate":
+        assert "error:" in err and out == ""
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("command", ["rr", "probe"])
 def test_zero_ideal_memory_does_not_grow_with_arity(capsys, command):
     tracemalloc.start()

@@ -1,8 +1,11 @@
 """Sequence validation, semigroup membership, and derived parameters."""
 
+import random
+
 import pytest
 
 from semicurve.semigroup import (
+    MAX_GENERATOR,
     Case,
     CurveInstance,
     derive,
@@ -54,6 +57,21 @@ def test_membership_against_brute_force():
         for x in range(limit + 1):
             assert member(gens, x) == (x in table), (gens, x)
     assert member((5, 8), 0) and not member((5, 8), -3)
+    # Seeded tuples of 1-5 generators, with duplicates and with a common
+    # factor.  Every Apery element is at most (m - 1) * max(gens), so each
+    # scan runs past the largest one and crosses x = 2 * min(gens).
+    rng = random.Random(5)
+    for _ in range(3000):
+        gens = [rng.randint(1, 24) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.2:
+            gens.append(rng.choice(gens))
+        if rng.random() < 0.25:
+            factor = rng.randint(2, 4)
+            gens = [g * factor for g in gens]
+        limit = min(gens) * max(gens) + 3
+        table = members_upto(gens, limit)
+        for x in range(-3, limit + 1):
+            assert member(gens, x) == (x in table), (gens, x)
 
 
 def test_ladder_decomposition():
@@ -71,16 +89,44 @@ def test_worked_instance_params_exact():
     assert derive(w).to_dict() == W_PARAMS
 
 
+def _valid_instances_beyond_corpus(count, seed):
+    """Seeded valid instances with p in 1..4 and m0 in 26..150, outside
+    Bounds((1,2,3), 25, 25)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p, m0, d = rng.randint(1, 4), rng.randint(26, 150), rng.randint(1, 12)
+        arith = tuple(m0 + i * d for i in range(p + 1))
+        extra = rng.randint(2, 2 * m0)
+        if validate(arith, extra).ok:
+            out.append(CurveInstance(arith, extra))
+    return out
+
+
 def test_derived_params_match_independent_oracle():
-    for text in ("5,8,11;7", "4,7,10;13", "5,7,9;8", "7,8,9;11", "6,7,8;9",
-                 "21,22,23,24;16"):
-        curve = CurveInstance.parse(text)
+    texts = ("5,8,11;7", "4,7,10;13", "5,7,9;8", "7,8,9;11", "6,7,8;9", "21,22,23,24;16")
+    curves = [CurveInstance.parse(t) for t in texts]
+    for curve in curves + _valid_instances_beyond_corpus(100, seed=7):
         got = derive(curve).to_dict()
-        want = sequence_params(curve.arith, curve.extra)
-        assert len(want["w_lam_solutions"]) == 1, text
-        assert len(want["z_mu_solutions"]) == 1, text
+        limit = max(4000, curve.arith[0] * (curve.extra + curve.arith[-1]))
+        want = sequence_params(curve.arith, curve.extra, limit=limit)
+        assert len(want["w_lam_solutions"]) == 1, curve.text()
+        assert len(want["z_mu_solutions"]) == 1, curve.text()
         for key in ("u", "v", "w", "z", "lam", "mu", "q", "r", "q_z", "r_z", "eps"):
-            assert got[key] == want[key], (text, key)
+            assert got[key] == want[key], (curve.text(), key)
+
+
+def test_large_family_pattern_against_oracle():
+    # The family (2k, 2k+1; 2k-1) has the parameters below; test_cli checks
+    # them at k = 10000, where the oracle would be slow.
+    k = 300
+    curve = CurveInstance((2 * k, 2 * k + 1), 2 * k - 1)
+    pattern = {"u": k, "v": k + 1, "w": k, "z": k - 1, "lam": 1, "mu": 1,
+               "q": k - 1, "r": 1, "q_z": k - 2, "r_z": 1, "eps": 1}
+    want = sequence_params(curve.arith, curve.extra, limit=(k + 2) * 2 * k)
+    assert len(want["w_lam_solutions"]) == 1 and len(want["z_mu_solutions"]) == 1
+    assert {key: want[key] for key in pattern} == pattern
+    assert derive(curve).to_dict() == dict(pattern, case="CASE1")
 
 
 def test_case_split():
