@@ -1,19 +1,26 @@
-"""Sparse polynomials over the rationals and the Buchberger criterion.
+"""Binomial S-pair check and leading ideals.
 
-Used to verify computationally that a generating set is a Groebner basis
-under a weighted grevlex order: every S-polynomial must reduce to zero.
-Coefficients are exact fractions; reduction always divides by the first
-eligible element in the given basis order, so normal forms are
-deterministic.
+Verifies that the binomial generators of a curve form a Groebner basis
+under a weighted grevlex order: every S-pair must reduce to zero.  Each
+basis member is a binomial u - v with coefficients +1 and -1, so its
+S-pairs are again differences of two monomials, and dividing one by a
+basis member rewrites a single monomial (Sturmfels, Groebner Bases and
+Convex Polytopes, AMS ULS 8, 1996, ch. 4).  The working polynomial is
+therefore a pair of monomials: the larger one is always rewritten with the
+first basis member whose leading monomial divides it, so normal forms are
+deterministic, and the pair reduces to zero when both sides meet.
+
+Polynomial is the exact container the check reads its basis from and
+reports a remainder in; general division over the rationals is not needed
+here (the test oracles keep it).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
-from semicurve.errors import InternalCheckError
 from semicurve.ideals import MonomialIdeal
-from semicurve.monomials import divides, mono_colon, mono_lcm, mono_mul
 
 
 class Polynomial:
@@ -51,53 +58,10 @@ class Polynomial:
         lm = max(self.terms, key=order.key)
         return lm, self.terms[lm]
 
-    def times_term(self, coeff, mono):
-        return Polynomial(self.arity,
-                          {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return Polynomial(self.arity, out)
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.arity == other.arity and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
-
-
-def reduce(f, basis, order, max_terms=None):
-    """Normal form of f modulo basis: no remainder term is divisible by any
-    basis leading monomial.  Always divides by the first eligible basis
-    element.  max_terms, when set, bounds the working term count and raises
-    InternalCheckError past it (used to assert binomial-closure runs)."""
-    leads = [g.leading(order) for g in basis]
-    remainder = {}
-    work = f
-    while not work.is_zero:
-        if max_terms is not None and len(work.terms) > max_terms:
-            raise InternalCheckError(f"reduction exceeded {max_terms} working terms")
-        lm, lc = work.leading(order)
-        for g, (glm, glc) in zip(basis, leads):
-            if divides(glm, lm):
-                work = work - g.times_term(lc / glc, mono_colon(lm, glm))
-                break
-        else:
-            remainder[lm] = lc
-            work = Polynomial(work.arity, {m: c for m, c in work.terms.items() if m != lm})
-    return Polynomial(f.arity, remainder)
-
-
-def s_poly(f, g, order):
-    """S-polynomial: both leading terms scaled to their lcm and subtracted."""
-    flm, flc = f.leading(order)
-    glm, glc = g.leading(order)
-    lcm = mono_lcm(flm, glm)
-    return f.times_term(1 / flc, mono_colon(lcm, flm)) - g.times_term(1 / glc, mono_colon(lcm, glm))
 
 
 @dataclass(frozen=True)
@@ -109,25 +73,66 @@ class GBReport:
     remainder: Polynomial | None = None
 
 
+def _rule(g, order):
+    """(lead, tail - lead) of a basis member +-(lead - tail): dividing by it
+    rewrites a multiple of lead by adding the shift."""
+    if len(g.terms) != 2 or sorted(g.terms.values()) != [-1, 1]:
+        raise ValueError("basis members must be binomials u - v with "
+                         f"coefficients +1 and -1, got {g.terms}")
+    lead = g.leading(order)[0]
+    tail, = (m for m in g.terms if m != lead)
+    return lead, tuple(map(sub, tail, lead))
+
+
+def _rewrite(m, rules):
+    """m after one division by the first rule whose lead divides it, or None
+    when m is irreducible."""
+    for lead, shift in rules:
+        if all(map(le, lead, m)):
+            return tuple(map(add, m, shift))
+    return None
+
+
+def _normal_form(a, b, rules, key):
+    """Remainder of b - a, or None when it reduces to zero.  A rewrite keeps
+    the coefficient of the term it rewrites, so the two terms stay +-1."""
+    ca = -1
+    ka, kb = key(a), key(b)
+    while a != b:
+        if ka < kb:
+            a, b, ka, kb, ca = b, a, kb, ka, -ca
+        top = _rewrite(a, rules)
+        if top is None:
+            while (nb := _rewrite(b, rules)) is not None:
+                b = nb
+            return Polynomial(len(a), {a: ca, b: -ca})
+        a, ka = top, key(top)
+    return None
+
+
 def gb_verify(basis, order, max_terms=None):
     """Buchberger criterion: passed iff every S-pair reduces to zero.
 
-    Pairs with coprime leading monomials are skipped (product criterion);
-    correctness does not depend on the skip.  On failure the first failing
-    pair and its nonzero normal form are reported."""
-    basis = list(basis)
-    if any(g.is_zero for g in basis):
-        raise ValueError("basis members must be nonzero")
-    leads = [g.leading(order)[0] for g in basis]
+    Every basis member must be u - v with coefficients +1 and -1 (in either
+    order); anything else, the zero polynomial included, raises ValueError.
+    A binomial reduction never holds more than two terms, so max_terms is
+    ignored; it is kept only for existing callers.  Pairs with coprime
+    leading monomials are skipped (product criterion); correctness does not
+    depend on the skip.  On failure the first failing pair and its nonzero
+    normal form are reported."""
+    rules = [_rule(g, order) for g in basis]
     checked = skipped = 0
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if mono_lcm(leads[i], leads[j]) == mono_mul(leads[i], leads[j]):
+    for i, (ui, si) in enumerate(rules):
+        for j in range(i + 1, len(rules)):
+            uj, sj = rules[j]
+            if not any(map(min, ui, uj)):
                 skipped += 1
                 continue
-            rem = reduce(s_poly(basis[i], basis[j], order), basis, order, max_terms=max_terms)
+            lcm = tuple(map(max, ui, uj))
+            rem = _normal_form(tuple(map(add, lcm, si)), tuple(map(add, lcm, sj)),
+                               rules, order.key)
             checked += 1
-            if not rem.is_zero:
+            if rem is not None:
                 return GBReport(False, checked, skipped, failing_pair=(i, j), remainder=rem)
     return GBReport(True, checked, skipped)
 
@@ -141,22 +146,3 @@ def leading_ideal(basis, order):
         raise ValueError("empty basis")
     return MonomialIdeal(basis[0].arity, [g.leading(order)[0] for g in basis],
                          weights=order.weights)
-
-
-def buchberger_complete(basis, order, max_basis=512):
-    """Complete a generating set to a Groebner basis (naive Buchberger).
-
-    Cross-check helper: completing a verified basis must add nothing new.
-    A growth bound guards against runaway completions."""
-    G = list(basis)
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    while pairs:
-        i, j = pairs.pop(0)
-        rem = reduce(s_poly(G[i], G[j], order), G, order)
-        if rem.is_zero:
-            continue
-        G.append(rem)
-        if len(G) > max_basis:
-            raise InternalCheckError(f"completion exceeded {max_basis} elements")
-        pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
-    return G

@@ -124,15 +124,6 @@ class MonomialIdeal:
             result = single if result is None else kernels.pairwise_lcm(result, single)
         return self._make(result)
 
-    def intersect(self, other):
-        self._check(other)
-        return self._make(kernels.pairwise_lcm(self.gens, other.gens))
-
-    def radical(self):
-        """Squarefree parts of the generators, minimalized."""
-        clamped = [tuple(1 if e > 0 else 0 for e in g) for g in self.gens]
-        return self._make(kernels.minimalize(clamped))
-
     # -- identity -----------------------------------------------------
 
     def __eq__(self, other):

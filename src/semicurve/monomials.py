@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import mul, neg
 
 Mono = tuple  # exponent tuple; alias for readability in signatures
 
@@ -24,33 +25,13 @@ def unit(arity: int) -> Mono:
 def weighted_degree(m: Mono, weights) -> int:
     if len(m) != len(weights):
         raise ValueError(f"arity mismatch: monomial {len(m)} vs weights {len(weights)}")
-    return sum(e * w for e, w in zip(m, weights))
-
-
-def divides(a: Mono, b: Mono) -> bool:
-    """True iff a divides b."""
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
+    return sum(map(mul, m, weights))
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
     if len(a) != len(b):
         raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
     return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_colon(a: Mono, b: Mono) -> Mono:
-    """a / gcd(a, b): componentwise max(a-b, 0)."""
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    return tuple(max(x - y, 0) for x, y in zip(a, b))
 
 
 def variable(arity: int, index: int) -> Mono:
@@ -82,7 +63,7 @@ class WeightedGrevlexOrder:
         comparison of monomials goes through this key."""
         if len(m) != len(self.weights):
             raise ValueError(f"arity mismatch: monomial {len(m)} vs order {len(self.weights)}")
-        return (self.wdeg(m), tuple(-e for e in m))
+        return (self.wdeg(m), tuple(map(neg, m)))
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")

@@ -300,7 +300,7 @@ def front_half(curve):
     order = curve.order()
     polys = [Polynomial.from_binomial(b) for b in gens]
     t0 = time.perf_counter()
-    gb = gb_verify(polys, order, max_terms=2)
+    gb = gb_verify(polys, order)
     timings["gb_verify"] = (time.perf_counter() - t0) * 1000.0
     if not gb.passed:
         failures.append(f"gb_verify failed on pair {gb.failing_pair}")

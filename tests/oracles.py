@@ -111,3 +111,120 @@ def power_gens(gens, k):
     for _ in range(k):
         rows = product_gens(rows, gens)
     return rows
+
+
+# -- Groebner division over the rationals --------------------------------
+#
+# A polynomial is a plain dict {exponent tuple: Fraction} with no zero
+# coefficients; the zero polynomial is {}.  A monomial order is a key
+# function: a larger key means a larger monomial.
+
+
+def grevlex_key(weights):
+    """Weighted grevlex: weighted degree first; on ties the monomial with the
+    smaller exponent at the lowest-indexed differing variable is larger."""
+    def key(m):
+        return sum(e * w for e, w in zip(m, weights)), [-e for e in m]
+    return key
+
+
+def poly_leading(f, key):
+    """(monomial, coefficient) of the largest term of a nonzero f."""
+    lm = max(f, key=key)
+    return lm, f[lm]
+
+
+def poly_shift(f, coeff, mono):
+    """coeff * mono * f."""
+    return {tuple(x + y for x, y in zip(m, mono)): c * coeff for m, c in f.items()}
+
+
+def poly_sub(f, g):
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) - c
+        if not out[m]:
+            del out[m]
+    return out
+
+
+def reduce(f, basis, key):
+    """Normal form of f modulo basis, always dividing by the first basis
+    element whose leading monomial divides the current leading term."""
+    leads = [poly_leading(g, key) for g in basis]
+    remainder = {}
+    work = dict(f)
+    while work:
+        lm, lc = poly_leading(work, key)
+        for g, (glm, glc) in zip(basis, leads):
+            if divides(glm, lm):
+                quot = tuple(x - y for x, y in zip(lm, glm))
+                work = poly_sub(work, poly_shift(g, lc / glc, quot))
+                break
+        else:
+            remainder[lm] = lc
+            del work[lm]
+    return remainder
+
+
+def s_poly(f, g, key):
+    """Both leading terms scaled to their lcm and subtracted."""
+    flm, flc = poly_leading(f, key)
+    glm, glc = poly_leading(g, key)
+    lcm = tuple(max(x, y) for x, y in zip(flm, glm))
+    return poly_sub(poly_shift(f, 1 / flc, tuple(x - y for x, y in zip(lcm, flm))),
+                    poly_shift(g, 1 / glc, tuple(x - y for x, y in zip(lcm, glm))))
+
+
+def gb_check(basis, key):
+    """Buchberger criterion with the product criterion, pair by pair in
+    index order: (passed, checked, skipped, failing_pair, remainder)."""
+    leads = [poly_leading(g, key)[0] for g in basis]
+    checked = skipped = 0
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if all(x == 0 or y == 0 for x, y in zip(leads[i], leads[j])):
+                skipped += 1
+                continue
+            rem = reduce(s_poly(basis[i], basis[j], key), basis, key)
+            checked += 1
+            if rem:
+                return False, checked, skipped, (i, j), rem
+    return True, checked, skipped, None, None
+
+
+def buchberger_complete(basis, key, max_basis=512):
+    """Complete a generating set to a Groebner basis (naive Buchberger)."""
+    G = [dict(g) for g in basis]
+    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+    while pairs:
+        i, j = pairs.pop(0)
+        rem = reduce(s_poly(G[i], G[j], key), G, key)
+        if not rem:
+            continue
+        G.append(rem)
+        if len(G) > max_basis:
+            raise RuntimeError(f"completion exceeded {max_basis} elements")
+        pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
+    return G
+
+
+# -- monomial-ideal operations that only tests use -----------------------
+
+
+def minimal(gens):
+    """Generators that no other (distinct) generator divides, deduplicated."""
+    uniq = set(gens)
+    return sorted(m for m in uniq
+                  if not any(g != m and divides(g, m) for g in uniq))
+
+
+def intersect(gens_a, gens_b):
+    """Minimal generators of the intersection: pairwise lcms."""
+    return minimal([tuple(max(x, y) for x, y in zip(a, b))
+                    for a in gens_a for b in gens_b])
+
+
+def radical(gens):
+    """Minimal generators of the radical: squarefree supports."""
+    return minimal([tuple(1 if e else 0 for e in g) for g in gens])

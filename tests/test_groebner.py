@@ -1,29 +1,47 @@
-"""Division, S-pairs, basis verification, and leading ideals."""
+"""Binomial basis verification and leading ideals, against the Fraction
+division oracle."""
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semicurve.curve import patil_singh_generators
-from semicurve.errors import InternalCheckError
-from semicurve.groebner import (
-    Polynomial,
-    buchberger_complete,
-    gb_verify,
-    leading_ideal,
-    reduce,
-    s_poly,
-)
+from semicurve.curve import Binomial, patil_singh_generators
+from semicurve.groebner import Polynomial, gb_verify, leading_ideal
 from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import WeightedGrevlexOrder
 from semicurve.semigroup import CurveInstance, derive
+from semicurve.survey import Bounds, enumerate_instances
+
+from conftest import ACCEPTANCE_BOUNDS
+from oracles import buchberger_complete, gb_check, grevlex_key, reduce, s_poly
 
 W = CurveInstance.parse("5,8,11;7")
 ORDER = W.order()
+KEY = grevlex_key(ORDER.weights)
 
 
 def _basis(curve=W):
     dp = derive(curve)
     return [Polynomial.from_binomial(b) for b in patil_singh_generators(dp, curve)]
+
+
+def _dicts(basis):
+    return [dict(g.terms) for g in basis]
+
+
+def _fields(report):
+    remainder = None if report.remainder is None else report.remainder.terms
+    return (report.passed, report.pairs_checked, report.pairs_skipped_coprime,
+            report.failing_pair, remainder)
+
+
+def _agrees_with_oracle(basis, order):
+    """All five report fields equal the Fraction oracle's; returns passed."""
+    report = gb_verify(basis, order)
+    assert _fields(report) == gb_check(_dicts(basis), grevlex_key(order.weights))
+    return report.passed
 
 
 def test_polynomial_construction_and_leading_term():
@@ -35,32 +53,32 @@ def test_polynomial_construction_and_leading_term():
 
 
 def test_reduce_trivial_cases():
-    basis = _basis()
-    assert reduce(Polynomial(4, {}), basis, ORDER).is_zero
+    basis = _dicts(_basis())
+    assert reduce({}, basis, KEY) == {}
     for g in basis:
-        assert reduce(g, [g], ORDER).is_zero
-        assert reduce(g, basis, ORDER).is_zero
+        assert reduce(g, [g], KEY) == {}
+        assert reduce(g, basis, KEY) == {}
 
 
 def test_reduce_idempotent_and_normal():
-    basis = _basis()
-    f = Polynomial(4, {(2, 2, 2, 2): Fraction(3), (5, 0, 0, 0): Fraction(1)})
-    r = reduce(f, basis, ORDER)
-    assert reduce(r, basis, ORDER) == r
-    leads = [g.leading(ORDER)[0] for g in basis]
+    basis = _dicts(_basis())
+    f = {(2, 2, 2, 2): Fraction(3), (5, 0, 0, 0): Fraction(1)}
+    r = reduce(f, basis, KEY)
+    assert reduce(r, basis, KEY) == r
+    leads = [max(g, key=KEY) for g in basis]
     lead_ideal = MonomialIdeal(4, leads)
-    for mono in r.terms:
+    for mono in r:
         assert mono not in lead_ideal
 
 
 def test_s_poly_worked_example():
-    basis = _basis()
+    basis = _dicts(_basis())
     # First two generators: leading monomials x1*x2 and x2^2, lcm x1*x2^2;
     # the S-polynomial is x1^2*x3^2 - x0*x2*x3^2.
-    s = s_poly(basis[0], basis[1], ORDER)
-    assert s == Polynomial(4, {(0, 2, 0, 2): Fraction(1), (1, 0, 1, 2): Fraction(-1)})
-    assert reduce(s, basis, ORDER).is_zero
-    assert s_poly(basis[0], basis[0], ORDER).is_zero
+    s = s_poly(basis[0], basis[1], KEY)
+    assert s == {(0, 2, 0, 2): Fraction(1), (1, 0, 1, 2): Fraction(-1)}
+    assert reduce(s, basis, KEY) == {}
+    assert s_poly(basis[0], basis[0], KEY) == {}
 
 
 def test_gb_verify_passes_on_worked_instance():
@@ -86,12 +104,47 @@ def test_gb_verify_single_element():
     assert gb_verify(_basis()[:1], ORDER).passed
 
 
-def test_max_terms_watchdog():
-    order = WeightedGrevlexOrder((1, 1))
-    f = Polynomial(2, {(3, 0): Fraction(1), (1, 1): Fraction(1), (0, 3): Fraction(1)})
-    with pytest.raises(InternalCheckError):
-        reduce(f, [Polynomial(2, {(1, 1): Fraction(1), (2, 0): Fraction(1)})],
-               order, max_terms=2)
+def test_gb_verify_rejects_non_binomials():
+    good = _basis()[0]
+    bad = [
+        Polynomial(4, {(3, 0, 0, 0): 1, (1, 1, 0, 0): 1, (0, 3, 0, 0): -1}),
+        Polynomial(4, {(0, 1, 1, 0): 2, (1, 0, 0, 2): -2}),
+        Polynomial(4, {(0, 1, 1, 0): 1, (1, 0, 0, 2): 1}),
+        Polynomial(4, {(0, 1, 1, 0): 1}),
+        Polynomial(4, {}),
+    ]
+    for member in bad:
+        with pytest.raises(ValueError):
+            gb_verify([good, member], ORDER)
+
+
+def test_gb_verify_matches_oracle_on_corpus_and_wide_sample():
+    instances = enumerate_instances(ACCEPTANCE_BOUNDS)[0]
+    instances += enumerate_instances(Bounds((3, 4, 5, 6), 45, 45))[0][::40]
+    bases = [(_basis(curve), curve.order()) for curve in instances]
+    assert all(_agrees_with_oracle(basis, order) for basis, order in bases)
+
+    failed = 0
+    for basis, order in random.Random(7).sample(bases, 40):
+        for drop in range(len(basis)):
+            failed += not _agrees_with_oracle(basis[:drop] + basis[drop + 1:], order)
+    assert failed > 0
+
+
+_binomial_bases = st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 9), min_size=n, max_size=n),
+    st.lists(st.tuples(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                       st.lists(st.integers(0, 4), min_size=n, max_size=n))
+             .filter(lambda uv: uv[0] != uv[1]),
+             min_size=1, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_binomial_bases)
+def test_gb_verify_matches_oracle_on_random_binomials(case):
+    weights, pairs = case
+    basis = [Polynomial.from_binomial(Binomial(tuple(u), tuple(v))) for u, v in pairs]
+    _agrees_with_oracle(basis, WeightedGrevlexOrder(tuple(weights)))
 
 
 def test_leading_ideal_and_scalar_invariance():
@@ -107,5 +160,6 @@ def test_buchberger_completion_adds_nothing():
     for text in ("5,8,11;7", "7,8,9;11", "4,7;9"):
         curve = CurveInstance.parse(text)
         basis = _basis(curve)
-        completed = buchberger_complete(basis, curve.order())
+        completed = buchberger_complete(_dicts(basis), grevlex_key(curve.order().weights))
+        completed = [Polynomial(curve.arity, g) for g in completed]
         assert leading_ideal(completed, curve.order()) == leading_ideal(basis, curve.order())
