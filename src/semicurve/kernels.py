@@ -2,13 +2,14 @@
 
 These are the hot inner loops of the ideal arithmetic: divisibility scans,
 minimal-generator filtering, pairwise products and lcms, colons by a single
-monomial.  Exponent vectors are plain tuples of nonnegative ints, so the
+monomial, and the generators of a colon by variables that lie outside the
+ideal.  Exponent vectors are plain tuples of nonnegative ints, so the
 kernels are exact for arbitrarily large exponents.  Row arguments are
 sequences (tuples or lists) of such vectors; the targets of all_divisible
 are read once and may be any iterable.
 
 A kernel that needs another one calls its private helper, never the public
-name, so the six public functions are entered only from outside the module
+name, so the seven public functions are entered only from outside the module
 (perfbench's tracer counts calls on the public names).
 """
 from __future__ import annotations
@@ -18,17 +19,12 @@ from operator import le
 BACKEND = "python"
 
 
-def _divides(a, b):
-    """True iff monomial a divides b (componentwise <=)."""
-    return all(map(le, a, b))
-
-
 def _minimalize(rows):
     uniq = sorted(set(rows), key=lambda m: (sum(m), m))
     kept = []
     for m in uniq:
         for g in kept:
-            if _divides(g, m):
+            if all(map(le, g, m)):  # g divides m
                 break
         else:
             kept.append(m)
@@ -37,7 +33,7 @@ def _minimalize(rows):
 
 def _divides_any(rows, target):
     for g in rows:
-        if _divides(g, target):
+        if all(map(le, g, target)):  # g divides target
             return True
     return False
 
@@ -67,6 +63,34 @@ def colon_by_monomial(rows, g):
     """Minimal generators of (rows) : g, via clamped componentwise subtraction."""
     quots = {tuple(max(x - y, 0) for x, y in zip(m, g)) for m in rows}
     return _minimalize(quots)
+
+
+def colon_residues(rows, indices):
+    """Minimal generators of (rows) : (x_i, i in indices) outside (rows).
+
+    rows must be the minimal generators of the ideal I; indices must be
+    nonempty.  The result is built one index at a time as the residues R_P
+    of the prefix P.  Each residue is an lcm of one g - x_i per index, with
+    g a generator and g_i >= 1; for the first index these are already
+    minimal and outside I.  A pair a in R_P, b = g - x_i is skipped when
+    b_j > a_j for some j in P (then lcm(a, b) is a multiple of a + x_j, in
+    I) or when a_i > b_i (then it is a multiple of b + x_i = g); only the
+    surviving lcms are scanned against rows.  Returned in no fixed order.
+    """
+    indices = list(dict.fromkeys(indices))
+    if not indices:
+        raise ValueError("colon by the zero ideal is undefined")
+    result, prefix = None, []
+    for i in indices:
+        single = [g[:i] + (g[i] - 1,) + g[i + 1:] for g in rows if g[i]]
+        if result is None:
+            result = single
+        else:
+            lcms = {tuple(map(max, a, b)) for a in result for b in single
+                    if a[i] <= b[i] and all(b[j] <= a[j] for j in prefix)}
+            result = _minimalize([m for m in lcms if not _divides_any(rows, m)])
+        prefix.append(i)
+    return result
 
 
 def divides_any(rows, target):

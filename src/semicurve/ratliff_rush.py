@@ -25,7 +25,7 @@ from itertools import islice
 from semicurve import kernels
 from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
-from semicurve.monomials import mono_mul, unit, variable
+from semicurve.monomials import mono_mul, unit
 
 
 class Verdict(Enum):
@@ -50,12 +50,6 @@ class PowerCache:
         while len(self._powers) <= k:
             self._powers.append(self._powers[-1].product(self.ideal))
         return self._powers[k]
-
-
-def variables_ideal(arity, weights=None):
-    """The maximal monomial ideal (x0, ..., x_{arity-1})."""
-    return MonomialIdeal(arity, [variable(arity, i) for i in range(arity)],
-                         weights=weights, _minimal=True)
 
 
 def _missing_pure_power(ideal):
@@ -109,8 +103,8 @@ def socle_complement(ideal):
     if ideal.is_zero or ideal.is_unit:
         raise UserInputError("socle complement needs a proper nonzero ideal")
     _require_primary(ideal)
-    quotient = ideal.colon(variables_ideal(ideal.arity, weights=ideal.weights))
-    return tuple(g for g in quotient.gens if g not in ideal)
+    residues = kernels.colon_residues(ideal.gens, range(ideal.arity))
+    return MonomialIdeal(ideal.arity, residues, weights=ideal.weights, _minimal=True).gens
 
 
 def _walk_standard(ideal):

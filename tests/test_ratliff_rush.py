@@ -24,7 +24,6 @@ from semicurve.ratliff_rush import (
     socle_complement,
     socle_probe,
     standard_monomials,
-    variables_ideal,
 )
 from semicurve.semigroup import CurveInstance, derive
 from semicurve.survey import run_instance
@@ -154,10 +153,6 @@ def test_power_cache():
     assert powers.get(0).is_unit
     assert powers.get(1) == NEGATIVE_CONTROL
     assert powers.get(3) == MonomialIdeal(2, power_gens(list(NEGATIVE_CONTROL.gens), 3))
-
-
-def test_variables_ideal():
-    assert variables_ideal(3).gens == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
 def test_run_stage_probes_only_primary_ideals():

@@ -7,6 +7,7 @@ import pytest
 from semicurve.curve import closed_form_table, initial_closed_form
 from semicurve.errors import UserInputError
 from semicurve.ideals import MonomialIdeal
+from semicurve.ratliff_rush import reduce_variables, socle_complement
 from semicurve.semigroup import CurveInstance, derive
 from semicurve.survey import (
     Bounds,
@@ -19,9 +20,12 @@ from semicurve.survey import (
     emit,
     enumerate_instances,
     evaluate_guards,
+    front_half,
     run_instance,
     survey,
+    _divisor_span,
 )
+from test_kernels import _colon_outside
 
 MINI_BOUNDS = Bounds((1, 2), 15, 15)
 W_PARAMS_LINE = "u=3 v=3 w=2 z=2 lam=1 mu=2 q=1 r=1 q_z=0 r_z=2 eps=1 case=CASE1"
@@ -179,3 +183,30 @@ def test_case_counts_and_stats(mini):
     reasons = mini.guard_reason_counts
     assert set(reasons) <= {"G1", "G2", "G3", "exponents"}
     assert reasons["G1"] > 0
+
+
+def _assert_engine_lists_match_generic_colon(rep):
+    ideal = rep.in_ideal_computed
+    order = rep.instance.order()
+    for c in rep.colon:
+        lo, hi = _divisor_span(c.selector, rep.instance)
+        if lo > hi:
+            assert c.engine is None
+            continue
+        assert list(c.engine) == sorted(set(c.engine), key=order.key, reverse=True)
+        assert set(c.engine) == _colon_outside(ideal, range(lo, hi + 1)), c.selector
+    reduced, _ = reduce_variables(ideal)
+    socle = socle_complement(reduced)
+    assert socle == MonomialIdeal(reduced.arity, socle, weights=reduced.weights).gens
+    assert set(socle) == _colon_outside(reduced, range(reduced.arity))
+
+
+def test_colon_residues_match_generic_colon_on_corpus(corpus):
+    for rep in corpus.instances:
+        _assert_engine_lists_match_generic_colon(rep)
+
+
+def test_colon_residues_match_generic_colon_on_wide_sample():
+    instances, _ = enumerate_instances(Bounds((3, 4, 5, 6), 45, 45))
+    for curve in instances[::40]:
+        _assert_engine_lists_match_generic_colon(front_half(curve))
