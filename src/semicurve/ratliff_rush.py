@@ -4,23 +4,24 @@ The Ratliff-Rush closure of a regular ideal I is the union of the colon
 ideals I^(k+1) : I^k over all k >= 1; I is closed when the union adds
 nothing.  Only finitely many depths are ever inspected here, so a closed
 verdict is always labelled evidence, never proof.  A not-closed verdict,
-by contrast, is final: it carries a witness monomial whose membership in
-some I^(k+1) : I^k is re-certified by the generic colon.
+by contrast, is final: it carries a witness monomial that certify_witness
+re-checks with both membership engines, the divisibility scan and the
+generic colon.
 
-For ideals primary to the maximal monomial ideal the standard monomials
-(those outside I) are finitely many, and every generator of I^(k+1) : I^k
-outside I is one of them; rr_chain builds the chain from a membership
-test per standard monomial, as long as there are no more of them than
-the generic colon would form quotients.  There is also a smaller
-candidate set: any element of the closure outside I can be multiplied up
-to one that every variable pushes into I.  socle_probe checks exactly
-those candidates against the colon chain.
+For ideals primary to the maximal monomial ideal one membership pass
+decides the chain.  Take s in J_k = I^(k+1) : I^k outside I and multiply
+it by variables while the product stays outside I: the walk stays in the
+ideal J_k, and since only finitely many monomials lie outside I it ends
+at one that every variable pushes into I, a minimal generator of
+I : (all variables) outside I.  socle_probe tests exactly those
+candidates at every depth, and rr_chain reads J_k = I off its table
+wherever no candidate passes.  Only a depth where one passes, or an ideal
+that is not primary, pays for the generic colon.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
 from semicurve import kernels
 from semicurve.errors import InternalCheckError, UserInputError
@@ -63,13 +64,6 @@ def _missing_pure_power(ideal):
     return None
 
 
-def _require_primary(ideal):
-    missing = _missing_pure_power(ideal)
-    if missing is not None:
-        raise UserInputError(
-            f"ideal is not primary to the maximal ideal: no pure power of x{missing}")
-
-
 def primary_to_max(ideal):
     """True iff every variable has a pure power in the ideal.
 
@@ -102,45 +96,12 @@ def socle_complement(ideal):
     finiteness argument needs the quotient by I to have finite length."""
     if ideal.is_zero or ideal.is_unit:
         raise UserInputError("socle complement needs a proper nonzero ideal")
-    _require_primary(ideal)
+    missing = _missing_pure_power(ideal)
+    if missing is not None:
+        raise UserInputError(
+            f"ideal is not primary to the maximal ideal: no pure power of x{missing}")
     residues = kernels.colon_residues(ideal.gens, range(ideal.arity))
     return MonomialIdeal(ideal.arity, residues, weights=ideal.weights, _minimal=True).gens
-
-
-def _walk_standard(ideal):
-    """Yield the monomials outside a proper ideal primary to the maximal
-    ideal: a walk from the unit monomial that raises one exponent at a
-    time and stops at members of the ideal."""
-    found = [unit(ideal.arity)]
-    seen = set(found)
-    for mono in found:
-        yield mono
-        for i in range(ideal.arity):
-            up = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-            if up not in seen:
-                seen.add(up)
-                if up not in ideal:
-                    found.append(up)
-
-
-def standard_monomials(ideal):
-    """The monomials outside the ideal, in walk order.  Raises on a proper
-    ideal without a pure power of every variable: the set is infinite."""
-    if unit(ideal.arity) in ideal:
-        return ()
-    _require_primary(ideal)
-    return tuple(_walk_standard(ideal))
-
-
-def _bounded_standard_monomials(ideal, depth, powers):
-    """The standard monomials of a proper ideal primary to the maximal
-    ideal, or None if they outnumber the single-monomial quotients of the
-    generic colon chain, |I^k| * |I^(k+1)| for k = 1..depth: their number
-    grows with the exponents, the generic colon's does not."""
-    budget = sum(len(powers.get(k).gens) * len(powers.get(k + 1).gens)
-                 for k in range(1, depth + 1))
-    std = tuple(islice(_walk_standard(ideal), budget + 1))
-    return std if len(std) <= budget else None
 
 
 def scaled_in_power(mono, power_k, power_k1):
@@ -151,11 +112,15 @@ def scaled_in_power(mono, power_k, power_k1):
 
 
 def certify_witness(ideal, witness, k, powers):
-    """Re-verify a not-closed witness with an engine that did not find it:
-    witness must lie outside I and inside the generic colon I^(k+1) : I^k."""
+    """Re-verify a not-closed witness with both membership engines: it must
+    lie outside I, scale I^k into I^(k+1), and lie in the generic colon
+    I^(k+1) : I^k."""
     if witness in ideal:
         raise InternalCheckError("witness lies in the ideal")
-    if witness not in powers.get(k + 1).colon(powers.get(k)):
+    power_k, power_k1 = powers.get(k), powers.get(k + 1)
+    if not scaled_in_power(witness, power_k, power_k1):
+        raise InternalCheckError(f"witness fails the depth-{k} product check")
+    if witness not in power_k1.colon(power_k):
         raise InternalCheckError(f"witness fails the depth-{k} colon membership")
 
 
@@ -171,32 +136,30 @@ class RRChainReport:
     witness_depth: int | None = None
 
 
-def rr_chain(ideal, depth, powers=None):
+def rr_chain(ideal, depth, powers=None, probe=None):
     """Compute the colon chain J_k = I^(k+1) : I^k for k = 1..depth.
 
-    J_k is I plus the standard monomials s with s * I^k <= I^(k+1), each
-    tested afresh at every k, when _bounded_standard_monomials finds them;
-    otherwise it is the generic colon.  Verdict is CLOSED_EVIDENCE iff
-    every J_k equals I (evidence only: deeper colons could still grow),
-    NOT_CLOSED with a certified witness as soon as some J_k is strictly
-    larger.  The chain must ascend and start at or above I; violations
-    are internal errors."""
+    Given the socle probe of the same ideal and depth, J_k is I at every
+    depth where no candidate passes (see the module docstring).  Every
+    other J_k is the generic colon, which must differ from I where a
+    candidate passes.  Verdict is CLOSED_EVIDENCE iff every J_k equals I
+    (evidence only: deeper colons could still grow), NOT_CLOSED with a
+    certified witness as soon as some J_k is strictly larger.  The chain
+    must ascend and start at or above I; violations are internal errors."""
     if depth < 1:
         raise UserInputError("chain depth must be at least 1")
     if ideal.is_zero or ideal.is_unit:
         raise UserInputError("colon chain needs a proper nonzero ideal")
     if powers is None:
         powers = PowerCache(ideal)
-    std = _bounded_standard_monomials(ideal, depth, powers) if primary_to_max(ideal) else None
     chain = []
     for k in range(1, depth + 1):
-        if std is None:
+        if probe is None or any(row[k - 1] for row in probe.membership_table):
             j_k = powers.get(k + 1).colon(powers.get(k))
+            if probe is not None and j_k == ideal:
+                raise InternalCheckError(f"a socle candidate passes at depth {k} but J_{k} = I")
         else:
-            power_k, power_k1 = powers.get(k), powers.get(k + 1)
-            j_k = MonomialIdeal(ideal.arity, ideal.gens + tuple(
-                s for s in std if scaled_in_power(s, power_k, power_k1)),
-                weights=ideal.weights)
+            j_k = ideal
         below = ideal if not chain else chain[-1]
         if not below.is_subset_of(j_k):
             raise InternalCheckError(f"colon chain not ascending at depth {k}")
@@ -242,7 +205,8 @@ def socle_probe(ideal, depth, powers=None):
     A candidate passing c * I^k <= I^(k+1) at any k <= depth lies in the
     closure but not in I, so the verdict is NOT_CLOSED with that witness.
     If all candidates fail at every probed depth the finite filter is
-    passed and the verdict is CLOSED_EVIDENCE."""
+    passed and the verdict is CLOSED_EVIDENCE.  The table is the stage's
+    one membership pass: rr_chain reads J_k = I off it."""
     if depth < 1:
         raise UserInputError("probe depth must be at least 1")
     if ideal.is_zero or ideal.is_unit:
@@ -306,13 +270,13 @@ def verdict_payload(depth, chain=None, probe=None):
 def run_stage(ideal, depth):
     """The Ratliff-Rush stage: (chain, probe) over one shared PowerCache.
 
-    The probe runs only when the ideal is primary to the maximal ideal,
-    otherwise it is None.  rr_chain rejects the zero and unit ideals
-    before the probe is considered."""
+    The probe runs first, and only when the ideal is primary to the
+    maximal ideal, otherwise it is None; rr_chain reads its membership
+    table.  The zero and unit ideals are not primary, so rr_chain rejects
+    them."""
     powers = PowerCache(ideal)
-    chain = rr_chain(ideal, depth, powers=powers)
     probe = socle_probe(ideal, depth, powers=powers) if primary_to_max(ideal) else None
-    return chain, probe
+    return rr_chain(ideal, depth, powers=powers, probe=probe), probe
 
 
 def combined_report(ideal, depth):

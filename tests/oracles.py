@@ -101,6 +101,28 @@ def monomials_upto(arity, max_deg):
     return out
 
 
+def standard_monomials(gens, arity):
+    """The monomials outside the ideal (gens), in walk order: a walk from
+    the unit monomial that raises one exponent at a time and stops at
+    members.  Raises ValueError on a proper ideal without a pure power of
+    every variable, whose standard monomials are infinitely many."""
+    start = (0,) * arity
+    if in_ideal(start, gens):
+        return ()
+    for i in range(arity):
+        if not any(g[i] > 0 and sum(g) == g[i] for g in gens):
+            raise ValueError(f"no pure power of x{i}")
+    found, seen = [start], {start}
+    for mono in found:
+        for i in range(arity):
+            up = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+            if up not in seen:
+                seen.add(up)
+                if not in_ideal(up, gens):
+                    found.append(up)
+    return tuple(found)
+
+
 def product_gens(gens_a, gens_b):
     """Generators of a product ideal: all pairwise exponent sums."""
     return [tuple(x + y for x, y in zip(a, b)) for a in gens_a for b in gens_b]

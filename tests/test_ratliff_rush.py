@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicurve import ratliff_rush
 from semicurve.curve import initial_closed_form
@@ -23,12 +25,18 @@ from semicurve.ratliff_rush import (
     scaled_in_power,
     socle_complement,
     socle_probe,
-    standard_monomials,
 )
 from semicurve.semigroup import CurveInstance, derive
 from semicurve.survey import run_instance
 
-from oracles import in_ideal, members_upto, monomials_upto, power_gens, product_gens
+from oracles import (
+    in_ideal,
+    members_upto,
+    monomials_upto,
+    power_gens,
+    product_gens,
+    standard_monomials,
+)
 
 NEGATIVE_CONTROL = MonomialIdeal(2, [(4, 0), (3, 1), (1, 3), (0, 4)])
 
@@ -132,14 +140,30 @@ def test_certify_witness():
         certify_witness(NEGATIVE_CONTROL, (1, 1), 1, powers)
 
 
+def test_certify_witness_needs_both_engines(monkeypatch):
+    # (1, 1) is no witness; each engine alone must reject it while the
+    # other is made to accept everything.
+    powers = PowerCache(NEGATIVE_CONTROL)
+    with monkeypatch.context() as patch:
+        patch.setattr(ratliff_rush, "scaled_in_power", lambda *a: True)
+        with pytest.raises(InternalCheckError, match="colon membership"):
+            certify_witness(NEGATIVE_CONTROL, (1, 1), 1, powers)
+    with monkeypatch.context() as patch:
+        patch.setattr(MonomialIdeal, "colon",
+                      lambda self, other: MonomialIdeal.unit(self.arity))
+        with pytest.raises(InternalCheckError, match="product check"):
+            certify_witness(NEGATIVE_CONTROL, (1, 1), 1, powers)
+
+
 def test_standard_monomials():
-    assert set(standard_monomials(NEGATIVE_CONTROL)) == {
-        m for m in monomials_upto(2, 4) if not in_ideal(m, NEGATIVE_CONTROL.gens)}
-    assert standard_monomials(MonomialIdeal(2, [(0, 0)])) == ()
-    assert standard_monomials(MonomialIdeal(1, [(3,)])) == ((0,), (1,), (2,))
-    for infinite in (MonomialIdeal(2, []), MonomialIdeal(2, [(1, 1), (0, 2)])):
-        with pytest.raises(UserInputError):
-            standard_monomials(infinite)
+    gens = NEGATIVE_CONTROL.gens
+    assert set(standard_monomials(gens, 2)) == {
+        m for m in monomials_upto(2, 4) if not in_ideal(m, gens)}
+    assert standard_monomials([(0, 0)], 2) == ()
+    assert standard_monomials([(3,)], 1) == ((0,), (1,), (2,))
+    for infinite in ([], [(1, 1), (0, 2)]):
+        with pytest.raises(ValueError):
+            standard_monomials(infinite, 2)
 
 
 def test_scaled_in_power():
@@ -163,6 +187,38 @@ def test_run_stage_probes_only_primary_ideals():
     assert probe is None and chain.depth == 2
     with pytest.raises(UserInputError):
         run_stage(MonomialIdeal(2, [(0, 0)]), 2)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls; return the count."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_run_stage_makes_one_membership_pass(monkeypatch):
+    # The chain reads J_k = I off the probe's table: 3 candidates times
+    # 4 depths of products, and no colon.
+    scans = _counting(monkeypatch, ratliff_rush, "scaled_in_power")
+    colons = _counting(monkeypatch, MonomialIdeal, "colon")
+    chain, probe = run_stage(_w_reduced(), 4)
+    assert len(probe.candidates) == 3
+    assert scans[0] == 12 and colons[0] == 0
+    assert chain.chain_equal == (True,) * 4
+
+
+def test_chain_rejects_a_probe_the_colon_contradicts():
+    ideal = _w_reduced()
+    probe = socle_probe(ideal, 4)
+    table = ((False, True, False, False),) + probe.membership_table[1:]
+    fake = replace(probe, membership_table=table)
+    with pytest.raises(InternalCheckError, match="depth 2"):
+        rr_chain(ideal, 4, probe=fake)
 
 
 def test_combined_report_schema():
@@ -242,36 +298,49 @@ def _gapped_ideals(count, seed):
         yield MonomialIdeal(arity, pure + [m for m in mixed if rng.random() < 0.5])
 
 
-def _takes_standard_engine(ideal, depth):
-    """True iff rr_chain builds this ideal's chain from standard monomials."""
-    return ratliff_rush._bounded_standard_monomials(ideal, depth, PowerCache(ideal)) is not None
-
-
 def test_chain_matches_generic_colon_on_gapped_ideals():
     verdicts = []
     for ideal in _gapped_ideals(300, seed=5):
         chain, probe = run_stage(ideal, 2)
         _assert_chain_parity(ideal, chain, probe)
-        if _takes_standard_engine(ideal, 2):
-            verdicts.append(chain.verdict)
-    # Both verdicts occur among the chains built from standard monomials,
-    # so the parity covers grown chains of that engine too.
+        verdicts.append(chain.verdict)
+    # Both verdicts occur, so the parity covers grown chains too.
     assert Verdict.NOT_CLOSED in verdicts and Verdict.CLOSED_EVIDENCE in verdicts
 
 
-def test_chain_matches_generic_colon_on_corpus_sample(corpus):
+def test_chain_matches_generic_colon_on_corpus_sample(corpus, monkeypatch):
     sample = corpus.instances[::24]
     assert len(sample) == 193
-    for rep in sample:
-        assert _takes_standard_engine(rep.rr.ideal, rep.rr.depth)
-        _assert_chain_parity(rep.rr.ideal, rep.rr, rep.probe)
+    colons = _counting(monkeypatch, MonomialIdeal, "colon")
+    stages = [run_stage(rep.rr.ideal, rep.rr.depth) for rep in sample]
+    assert colons[0] == 0
+    monkeypatch.undo()
+    for rep, (chain, probe) in zip(sample, stages):
+        _assert_chain_parity(rep.rr.ideal, chain, probe)
 
 
-def test_standard_monomial_walk_is_capped():
-    # (x^D, y^D) has D^2 standard monomials; at depth 2 the generic colon
-    # chain forms 2*3 + 3*4 = 18 single-monomial quotients.
-    assert _takes_standard_engine(MonomialIdeal(2, [(4, 0), (0, 4)]), 2)
-    assert not _takes_standard_engine(MonomialIdeal(2, [(5, 0), (0, 5)]), 2)
+@st.composite
+def _primary_ideals(draw):
+    """Primary ideals in 2 or 3 variables: a pure power x_i^a with a in
+    D..D+2 per variable, some mixed degree-D monomials and up to two
+    further monomials, D in 3..5."""
+    arity, top = draw(st.integers(2, 3)), draw(st.integers(3, 5))
+    pure = [tuple(draw(st.integers(top, top + 2)) if j == i else 0 for j in range(arity))
+            for i in range(arity)]
+    mixed = [m for m in itertools.product(range(top), repeat=arity) if sum(m) == top]
+    extra = st.tuples(*[st.integers(0, top + 1)] * arity).filter(any)
+    keep = draw(st.lists(st.booleans(), min_size=len(mixed), max_size=len(mixed)))
+    return MonomialIdeal(arity, pure + [m for m, k in zip(mixed, keep) if k]
+                         + draw(st.lists(extra, max_size=2)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_primary_ideals())
+def test_probe_table_decides_the_chain(ideal):
+    chain, probe = run_stage(ideal, 3)
+    assert [j.gens for j in chain.chain] == [j.gens for j in _generic_chain(ideal, 3)]
+    assert list(chain.chain_equal) == [
+        not any(row[k] for row in probe.membership_table) for k in range(3)]
 
 
 def test_standard_monomials_give_the_apery_set(corpus):
@@ -282,7 +351,7 @@ def test_standard_monomials_give_the_apery_set(corpus):
         ideal, dropped = reduce_variables(rep.in_ideal_computed)
         assert dropped == (0,)
         m0 = rep.instance.arith[0]
-        std = standard_monomials(ideal)
+        std = standard_monomials(ideal.gens, ideal.arity)
         assert len(std) == m0
         degrees = sorted(sum(w * e for w, e in zip(ideal.weights, s)) for s in std)
         members = members_upto(rep.instance.weights, degrees[-1])
