@@ -35,15 +35,17 @@ class Verdict(Enum):
 
 
 class PowerCache:
-    """Lazily extended list of powers of a fixed ideal.  I^0, the unit
-    ideal, is built on demand: its size grows with the arity, and a zero
-    ideal from JSON input may have any arity."""
+    """Lazily extended list of powers of a fixed ideal, and the generic
+    colons I^(k+1) : I^k taken over them.  I^0, the unit ideal, is built on
+    demand: its size grows with the arity, and a zero ideal from JSON input
+    may have any arity."""
 
-    __slots__ = ("ideal", "_powers")
+    __slots__ = ("ideal", "_powers", "_colons")
 
     def __init__(self, ideal):
         self.ideal = ideal
         self._powers = [None, ideal]
+        self._colons = {}
 
     def get(self, k):
         if k == 0:
@@ -51,6 +53,12 @@ class PowerCache:
         while len(self._powers) <= k:
             self._powers.append(self._powers[-1].product(self.ideal))
         return self._powers[k]
+
+    def colon(self, k):
+        """The generic colon I^(k+1) : I^k, computed once per k."""
+        if k not in self._colons:
+            self._colons[k] = self.get(k + 1).colon(self.get(k))
+        return self._colons[k]
 
 
 def _missing_pure_power(ideal):
@@ -114,13 +122,13 @@ def scaled_in_power(mono, power_k, power_k1):
 def certify_witness(ideal, witness, k, powers):
     """Re-verify a not-closed witness with both membership engines: it must
     lie outside I, scale I^k into I^(k+1), and lie in the generic colon
-    I^(k+1) : I^k."""
+    I^(k+1) : I^k, which powers computes once per k."""
     if witness in ideal:
         raise InternalCheckError("witness lies in the ideal")
     power_k, power_k1 = powers.get(k), powers.get(k + 1)
     if not scaled_in_power(witness, power_k, power_k1):
         raise InternalCheckError(f"witness fails the depth-{k} product check")
-    if witness not in power_k1.colon(power_k):
+    if witness not in powers.colon(k):
         raise InternalCheckError(f"witness fails the depth-{k} colon membership")
 
 
@@ -155,7 +163,7 @@ def rr_chain(ideal, depth, powers=None, probe=None):
     chain = []
     for k in range(1, depth + 1):
         if probe is None or any(row[k - 1] for row in probe.membership_table):
-            j_k = powers.get(k + 1).colon(powers.get(k))
+            j_k = powers.colon(k)
             if probe is not None and j_k == ideal:
                 raise InternalCheckError(f"a socle candidate passes at depth {k} but J_{k} = I")
         else:

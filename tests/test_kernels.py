@@ -1,6 +1,9 @@
-"""Exponent kernels: minimal generators, empty inputs, exact large exponents,
-and colon residues against the generic colon."""
+"""Exponent kernels: minimal generators on both sides of the index size
+selection, the index's memory, empty inputs, exact large exponents, and
+colon residues against the generic colon."""
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -8,10 +11,72 @@ from semicurve import kernels
 from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import variable
 
+import oracles
+
+
+def _degree_order(rows):
+    return sorted(rows, key=lambda m: (sum(m), m))
+
 
 def test_minimalize_removes_multiples():
     rows = [(2, 0), (0, 2), (2, 1), (3, 3), (0, 2)]
     assert set(kernels.minimalize(rows)) == {(2, 0), (0, 2)}
+
+
+def _seeded_rows(rng, arity, count):
+    """Rows with duplicates and ties in every coordinate (few values per
+    coordinate), some of them shifted by 2**40."""
+    top = rng.choice([1, 2, 3, 6])
+    offset = rng.choice([0, 1 << 40])
+    shifted = [rng.random() < 0.5 for _ in range(arity)]
+    rows = [tuple(rng.randint(0, top) + offset * s for s in shifted)
+            for _ in range(count)]
+    return rows + rng.sample(rows, min(count, rng.randint(0, 5)))
+
+
+def test_minimalize_matches_oracle_on_seeded_rows():
+    rng = random.Random(40961)
+    sizes = set()
+    for count in [0, 1, 2, 15, 16, 17, 300] + [rng.randint(0, 300) for _ in range(90)]:
+        arity = rng.randint(1, 7)
+        rows = _seeded_rows(rng, arity, count)
+        sizes.add(len(set(rows)) >= kernels.INDEX_MIN_ROWS)
+        got = kernels.minimalize(rows)
+        assert got == _degree_order(oracles.minimal(rows)), rows
+    assert sizes == {False, True}
+
+
+def test_pairwise_product_matches_oracle():
+    rng = random.Random(40962)
+    for _ in range(40):
+        arity = rng.randint(1, 5)
+        rows_a = _seeded_rows(rng, arity, rng.randint(0, 20))
+        rows_b = _seeded_rows(rng, arity, rng.randint(1, 12))
+        got = kernels.pairwise_product(rows_a, rows_b)
+        assert got == _degree_order(oracles.minimal(oracles.product_gens(rows_a, rows_b)))
+
+
+def test_minimalize_index_memory_is_bounded():
+    # An antichain keeps every row, the index's worst case: 4,000 rows in
+    # two variables with distinct exponents hold 2 * 4000 * 4000 / 2 bits
+    # (2 MB) of prefix ORs, about 5 MB at the peak with the dicts.  The
+    # scan against the kept rows would make 8 million divisibility tests.
+    rng = random.Random(40963)
+    xs = sorted(rng.sample(range(1, 10 ** 6), 4000))
+    ys = sorted(rng.sample(range(1, 10 ** 6), 4000), reverse=True)
+    rows = list(zip(xs, ys))
+    rng.shuffle(rows)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = kernels.minimalize(rows)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _degree_order(rows)
+    assert peak < 16 * 2 ** 20, peak
+    assert elapsed < 10, elapsed
 
 
 def test_exact_on_large_exponents():

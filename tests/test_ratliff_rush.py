@@ -212,6 +212,16 @@ def test_run_stage_makes_one_membership_pass(monkeypatch):
     assert chain.chain_equal == (True,) * 4
 
 
+def test_run_stage_takes_each_grown_colon_once(monkeypatch):
+    # Every depth grows: the chain takes J_1..J_4, and both certificates of
+    # the depth-1 witness read the cached J_1 instead of recomputing it.
+    colons = _counting(monkeypatch, MonomialIdeal, "colon")
+    chain, probe = run_stage(NEGATIVE_CONTROL, 4)
+    assert chain.witness == probe.witness == (2, 2)
+    assert chain.chain_equal == (False,) * 4
+    assert colons[0] == 4
+
+
 def test_chain_rejects_a_probe_the_colon_contradicts():
     ideal = _w_reduced()
     probe = socle_probe(ideal, 4)
