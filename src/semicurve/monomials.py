@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import mul, neg
+from operator import add, mul, neg
 
 Mono = tuple  # exponent tuple; alias for readability in signatures
 
@@ -31,7 +31,7 @@ def weighted_degree(m: Mono, weights) -> int:
 def mono_mul(a: Mono, b: Mono) -> Mono:
     if len(a) != len(b):
         raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def variable(arity: int, index: int) -> Mono:
@@ -63,7 +63,7 @@ class WeightedGrevlexOrder:
         comparison of monomials goes through this key."""
         if len(m) != len(self.weights):
             raise ValueError(f"arity mismatch: monomial {len(m)} vs order {len(self.weights)}")
-        return (self.wdeg(m), tuple(map(neg, m)))
+        return (sum(map(mul, m, self.weights)), tuple(map(neg, m)))
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")

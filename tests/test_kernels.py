@@ -1,6 +1,7 @@
 """Exponent kernels: minimal generators on both sides of the index size
-selection, the index's memory, empty inputs, exact large exponents, and
-colon residues against the generic colon."""
+selection, the index's memory, empty inputs, exact large exponents, lcms
+and single-monomial colons against the oracles, and colon residues against
+the generic colon and against themselves with a cold prefix memo."""
 import random
 import time
 import tracemalloc
@@ -54,6 +55,19 @@ def test_pairwise_product_matches_oracle():
         rows_b = _seeded_rows(rng, arity, rng.randint(1, 12))
         got = kernels.pairwise_product(rows_a, rows_b)
         assert got == _degree_order(oracles.minimal(oracles.product_gens(rows_a, rows_b)))
+
+
+def test_pairwise_lcm_and_colon_by_monomial_match_oracle():
+    rng = random.Random(40964)
+    for _ in range(40):
+        arity = rng.randint(1, 5)
+        rows_a = _seeded_rows(rng, arity, rng.randint(0, 20))
+        rows_b = _seeded_rows(rng, arity, rng.randint(1, 12))
+        got = kernels.pairwise_lcm(rows_a, rows_b)
+        assert got == _degree_order(oracles.minimal(oracles.intersect(rows_a, rows_b)))
+        g = rng.choice(rows_b)
+        quots = [tuple(max(x - y, 0) for x, y in zip(m, g)) for m in rows_a]
+        assert kernels.colon_by_monomial(rows_a, g) == _degree_order(oracles.minimal(quots))
 
 
 def test_minimalize_index_memory_is_bounded():
@@ -136,3 +150,48 @@ def test_colon_residues_match_generic_colon_on_seeded_ideals():
         _check_residues(ideal, indices)
         _check_residues(ideal, [indices[0]])
         _check_residues(ideal, range(arity))
+
+
+def _memo_spans(arity):
+    """Index walks as the selectors and the socle walk take them, the
+    reversed walk, and walks with duplicated indices."""
+    spans = [list(range(1, hi + 1)) for hi in range(1, arity)]
+    spans += [list(range(arity)), [arity - 1], list(range(arity - 1, -1, -1))]
+    if arity > 1:
+        spans += [[1, 1, 0], [arity - 1, 0, arity - 1, 0]]
+    return spans
+
+
+def test_colon_residues_memo_is_invisible():
+    rng = random.Random(20052)
+    for _ in range(60):
+        arity = rng.randint(1, 6)
+        gens = [tuple(rng.randint(0, 4) for _ in range(arity))
+                for _ in range(rng.randint(1, 9))]
+        rows = MonomialIdeal(arity, gens).gens
+        spans = _memo_spans(arity)
+        cold = []
+        for span in spans:
+            kernels._prefix_residues.cache_clear()
+            cold.append(kernels.colon_residues(rows, span))
+        orders = [list(range(len(spans))), list(range(len(spans)))[::-1]]
+        orders.append(rng.choices(range(len(spans)), k=2 * len(spans)))
+        for order in orders:
+            kernels._prefix_residues.cache_clear()
+            for k in order:
+                got = kernels.colon_residues(list(rows), spans[k])
+                assert got == cold[k], (rows, spans[k])
+                got.append((7,) * arity)
+                got.reverse()
+                assert kernels.colon_residues(rows, spans[k]) == cold[k]
+
+
+def test_colon_residues_long_walk():
+    # A walk far longer than the memo is built from the bottom in steps,
+    # so its depth is not bounded by the recursion limit.
+    n = 2000
+    assert kernels.colon_residues([(1,) * n], range(n)) == []
+    n = 90
+    squares = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
+    assert kernels.colon_residues(squares, range(n)) == [(1,) * n]
+    assert kernels.colon_residues(squares, range(n - 1, -1, -1)) == [(1,) * n]

@@ -59,6 +59,10 @@ def test_order_reverse_lex_tiebreak():
 
 
 def test_order_validates_weights():
+    order = WeightedGrevlexOrder((5, 8, 11))
+    for m in [(1, 2), (1, 2, 3, 4), ()]:
+        with pytest.raises(ValueError, match="arity mismatch"):
+            order.key(m)
     with pytest.raises(ValueError):
         WeightedGrevlexOrder((5, 0, 3))
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from semicurve import kernels
 from semicurve.curve import closed_form_table, initial_closed_form
 from semicurve.errors import UserInputError
 from semicurve.ideals import MonomialIdeal
@@ -210,3 +211,13 @@ def test_colon_residues_match_generic_colon_on_wide_sample():
     instances, _ = enumerate_instances(Bounds((3, 4, 5, 6), 45, 45))
     for curve in instances[::40]:
         _assert_engine_lists_match_generic_colon(front_half(curve))
+
+
+def test_selectors_share_one_prefix_walk():
+    # p = 3, n = 4: the spans (1..2), (1..3), (4) and (1..4) need the
+    # prefixes (1), (1,2), (1,2,3), (4) and (1,2,3,4) once each; the walk
+    # to 3 finds (1,2) cached and the walk to 4 finds (1,2,3).
+    kernels._prefix_residues.cache_clear()
+    front_half(CurveInstance.parse("21,22,23,24;16"))
+    info = kernels._prefix_residues.cache_info()
+    assert (info.misses, info.hits) == (5, 2)
