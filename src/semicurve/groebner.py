@@ -17,21 +17,19 @@ here (the test oracles keep it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, le, sub
 
 from semicurve.ideals import MonomialIdeal
 
 
 class Polynomial:
-    """Immutable sparse polynomial: exponent tuple -> nonzero Fraction."""
+    """Immutable sparse polynomial: exponent tuple -> nonzero coefficient as given."""
 
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity, terms):
         clean = {}
         for m, c in dict(terms).items():
-            c = Fraction(c)
             if c:
                 m = tuple(m)
                 if len(m) != arity:
@@ -45,7 +43,7 @@ class Polynomial:
 
     @classmethod
     def from_binomial(cls, b):
-        return cls(len(b.lead), {b.lead: Fraction(1), b.tail: Fraction(-1)})
+        return cls(len(b.lead), {b.lead: 1, b.tail: -1})
 
     @property
     def is_zero(self):

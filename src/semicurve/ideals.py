@@ -16,13 +16,14 @@ import json
 
 from semicurve import kernels
 from semicurve.errors import UserInputError
-from semicurve.monomials import format_monomial, weighted_degree
+from semicurve.monomials import WeightedGrevlexOrder, format_monomial
 
 
-def _canonical_sort(gens, weights):
-    if weights is None:
-        return tuple(sorted(gens, key=lambda m: (-sum(m), m)))
-    return tuple(sorted(gens, key=lambda m: (-weighted_degree(m, weights), m)))
+def _canonical_sort(gens, arity, weights):
+    if len(gens) < 2:
+        return tuple(gens)
+    order = WeightedGrevlexOrder(weights or (1,) * arity)
+    return tuple(sorted(gens, key=order.key, reverse=True))
 
 
 class MonomialIdeal:
@@ -32,19 +33,19 @@ class MonomialIdeal:
 
     def __init__(self, arity, gens, weights=None, _minimal=False):
         gens = [tuple(g) for g in gens]
-        for g in gens:
-            if len(g) != arity:
-                raise ValueError(f"generator arity {len(g)} != ideal arity {arity}")
-            if any(e < 0 for e in g):
-                raise ValueError(f"negative exponent in generator {g}")
         if weights is not None:
             weights = tuple(weights)
             if len(weights) != arity:
                 raise ValueError("weights arity mismatch")
         if not _minimal:
+            for g in gens:
+                if len(g) != arity:
+                    raise ValueError(f"generator arity {len(g)} != ideal arity {arity}")
+                if any(e < 0 for e in g):
+                    raise ValueError(f"negative exponent in generator {g}")
             gens = kernels.minimalize(gens)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "gens", _canonical_sort(gens, weights))
+        object.__setattr__(self, "gens", _canonical_sort(gens, arity, weights))
         object.__setattr__(self, "weights", weights)
 
     def __setattr__(self, name, value):
@@ -57,10 +58,9 @@ class MonomialIdeal:
         return cls(arity, [(0,) * arity], weights=weights, _minimal=True)
 
     @classmethod
-    def from_json(cls, text, weights=None):
-        """Inverse of to_json.  A malformed ideal raises UserInputError: the
-        checks live here, at the input boundary, rather than in the
-        constructor that every product and colon result passes through."""
+    def from_json(cls, text):
+        """Inverse of to_json.  A malformed ideal raises UserInputError; the
+        constructor rejects negative exponents."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise UserInputError('expected an object {"arity": k, "gens": [...]}')
@@ -73,7 +73,7 @@ class MonomialIdeal:
         for g in gens:
             if not all(type(e) is int for e in g):
                 raise UserInputError(f"exponents must be integers, got {g}")
-        return cls(arity, gens, weights=weights)
+        return cls(arity, gens)
 
     # -- predicates ---------------------------------------------------
 

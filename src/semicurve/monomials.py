@@ -55,9 +55,6 @@ class WeightedGrevlexOrder:
             raise ValueError("weights must be a nonempty sequence of positive integers")
         object.__setattr__(self, "weights", ws)
 
-    def wdeg(self, m: Mono) -> int:
-        return weighted_degree(m, self.weights)
-
     def key(self, m: Mono):
         """Sort key: larger key means larger monomial in the order.  Every
         comparison of monomials goes through this key."""

@@ -16,7 +16,8 @@ at one that every variable pushes into I, a minimal generator of
 I : (all variables) outside I.  socle_probe tests exactly those
 candidates at every depth, and rr_chain reads J_k = I off its table
 wherever no candidate passes.  Only a depth where one passes, or an ideal
-that is not primary, pays for the generic colon.
+that is not primary, pays for the generic colon.  The powers I^k are kept
+as plain kernel rows, which only the generic colon wraps in MonomialIdeals.
 """
 from __future__ import annotations
 
@@ -35,29 +36,32 @@ class Verdict(Enum):
 
 
 class PowerCache:
-    """Lazily extended list of powers of a fixed ideal, and the generic
-    colons I^(k+1) : I^k taken over them.  I^0, the unit ideal, is built on
-    demand: its size grows with the arity, and a zero ideal from JSON input
-    may have any arity."""
+    """Lazily extended list of the powers I^k, k >= 1, of a fixed ideal, as
+    minimal kernel rows, and the generic colons I^(k+1) : I^k taken over
+    them.  A power is never emitted and its order never read, so only the
+    colon wraps rows in a MonomialIdeal."""
 
     __slots__ = ("ideal", "_powers", "_colons")
 
     def __init__(self, ideal):
         self.ideal = ideal
-        self._powers = [None, ideal]
+        self._powers = [None, ideal.gens]
         self._colons = {}
 
     def get(self, k):
-        if k == 0:
-            return MonomialIdeal.unit(self.ideal.arity, weights=self.ideal.weights)
+        if k < 1:
+            raise ValueError(f"power index must be at least 1, got {k}")
         while len(self._powers) <= k:
-            self._powers.append(self._powers[-1].product(self.ideal))
+            self._powers.append(kernels.pairwise_product(self._powers[-1], self.ideal.gens))
         return self._powers[k]
 
     def colon(self, k):
         """The generic colon I^(k+1) : I^k, computed once per k."""
         if k not in self._colons:
-            self._colons[k] = self.get(k + 1).colon(self.get(k))
+            arity, weights = self.ideal.arity, self.ideal.weights
+            high, low = (MonomialIdeal(arity, self.get(j), weights=weights, _minimal=True)
+                         for j in (k + 1, k))
+            self._colons[k] = high.colon(low)
         return self._colons[k]
 
 
@@ -112,11 +116,11 @@ def socle_complement(ideal):
     return MonomialIdeal(ideal.arity, residues, weights=ideal.weights, _minimal=True).gens
 
 
-def scaled_in_power(mono, power_k, power_k1):
-    """True iff mono * power_k is contained in power_k1 (divisibility scans).
-    The products are formed lazily, so the scan stops at the first miss."""
-    return kernels.all_divisible((mono_mul(mono, g) for g in power_k.gens),
-                                 power_k1.gens)
+def scaled_in_power(mono, rows_k, rows_k1):
+    """True iff mono * I^k is contained in I^(k+1), given their rows
+    (divisibility scans).  The products are formed lazily, so the scan
+    stops at the first miss."""
+    return kernels.all_divisible((mono_mul(mono, g) for g in rows_k), rows_k1)
 
 
 def certify_witness(ideal, witness, k, powers):
@@ -125,8 +129,7 @@ def certify_witness(ideal, witness, k, powers):
     I^(k+1) : I^k, which powers computes once per k."""
     if witness in ideal:
         raise InternalCheckError("witness lies in the ideal")
-    power_k, power_k1 = powers.get(k), powers.get(k + 1)
-    if not scaled_in_power(witness, power_k, power_k1):
+    if not scaled_in_power(witness, powers.get(k), powers.get(k + 1)):
         raise InternalCheckError(f"witness fails the depth-{k} product check")
     if witness not in powers.colon(k):
         raise InternalCheckError(f"witness fails the depth-{k} colon membership")

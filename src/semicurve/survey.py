@@ -192,10 +192,10 @@ def compare_selector(instance, in_ideal, table, guard):
     engine = tuple(sorted(residues, key=order.key, reverse=True))
     sets_equal = set(engine) == set(literal)
     # Both sides contain the initial ideal, so each needs only the other's
-    # extra generators.
-    base = in_ideal.gens
-    ideal_equal = (kernels.all_divisible(literal, base + engine)
-                   and kernels.all_divisible(engine, base + literal))
+    # extra generators; the residues lie outside it, so only literal can
+    # divide them.
+    ideal_equal = (kernels.all_divisible(literal, in_ideal.gens + engine)
+                   and kernels.all_divisible(engine, literal))
     if guard.violated:
         match = MatchStatus.SKIPPED
     else:
@@ -451,8 +451,8 @@ class SurveyReport:
     def ok(self):
         return not self.failed_instances
 
-    def to_dict(self, with_instances=True):
-        d = {
+    def to_dict(self):
+        return {
             "bounds": self.bounds.to_dict(),
             "depth": self.depth,
             "totals": {"instances": len(self.instances), **self.case_counts},
@@ -467,10 +467,8 @@ class SurveyReport:
             "errata": [e.to_dict() for e in self.errata],
             "failed": list(self.failed_instances),
             "ok": self.ok,
+            "instances": [rep.to_dict() for rep in self.instances],
         }
-        if with_instances:
-            d["instances"] = [rep.to_dict() for rep in self.instances]
-        return d
 
 
 def survey(bounds, depth=4):

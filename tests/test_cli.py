@@ -249,6 +249,7 @@ def test_out_file_for_instance_command(tmp_path, capsys):
     pytest.param('{"arity": -1, "gens": []}', id="negative-arity"),
     pytest.param('{"arity": 0, "gens": []}', id="zero-arity"),
     pytest.param('{"arity": 2, "gens": [1, 2]}', id="gens-not-lists"),
+    pytest.param('{"arity": 2, "gens": [[1, -2]]}', id="negative-exponent"),
     pytest.param('{"arity": 2}', id="gens-missing"),
 ])
 def test_bad_ideal_json(capsys, text):

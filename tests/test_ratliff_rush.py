@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semicurve import ratliff_rush
+from semicurve import kernels, ratliff_rush
 from semicurve.curve import initial_closed_form
 from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
@@ -32,6 +32,7 @@ from semicurve.survey import run_instance
 from oracles import (
     in_ideal,
     members_upto,
+    minimal,
     monomials_upto,
     power_gens,
     product_gens,
@@ -174,9 +175,11 @@ def test_scaled_in_power():
 
 def test_power_cache():
     powers = PowerCache(NEGATIVE_CONTROL)
-    assert powers.get(0).is_unit
-    assert powers.get(1) == NEGATIVE_CONTROL
-    assert powers.get(3) == MonomialIdeal(2, power_gens(list(NEGATIVE_CONTROL.gens), 3))
+    gens = list(NEGATIVE_CONTROL.gens)
+    for k in (1, 3):
+        assert set(powers.get(k)) == set(minimal(power_gens(gens, k)))
+    with pytest.raises(ValueError):
+        powers.get(0)
 
 
 def test_run_stage_probes_only_primary_ideals():
@@ -203,12 +206,16 @@ def _counting(monkeypatch, owner, name):
 
 def test_run_stage_makes_one_membership_pass(monkeypatch):
     # The chain reads J_k = I off the probe's table: 3 candidates times
-    # 4 depths of products, and no colon.
+    # 4 depths of products, and no colon.  The powers I^2..I^5 are kernel
+    # rows, built without a MonomialIdeal product.
     scans = _counting(monkeypatch, ratliff_rush, "scaled_in_power")
     colons = _counting(monkeypatch, MonomialIdeal, "colon")
+    products = _counting(monkeypatch, MonomialIdeal, "product")
+    row_products = _counting(monkeypatch, kernels, "pairwise_product")
     chain, probe = run_stage(_w_reduced(), 4)
     assert len(probe.candidates) == 3
     assert scans[0] == 12 and colons[0] == 0
+    assert products[0] == 0 and row_products[0] == 4
     assert chain.chain_equal == (True,) * 4
 
 
@@ -286,7 +293,10 @@ def test_rr_and_survey_share_the_verdict_rule(monkeypatch, chain_witness, probe_
 def _generic_chain(ideal, depth):
     """J_k = I^(k+1) : I^k for k = 1..depth by the generic colon."""
     powers = PowerCache(ideal)
-    return tuple(powers.get(k + 1).colon(powers.get(k)) for k in range(1, depth + 1))
+
+    def wrap(k):
+        return MonomialIdeal(ideal.arity, powers.get(k), weights=ideal.weights)
+    return tuple(wrap(k + 1).colon(wrap(k)) for k in range(1, depth + 1))
 
 
 def _assert_chain_parity(ideal, chain, probe):

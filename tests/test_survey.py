@@ -196,6 +196,9 @@ def _assert_engine_lists_match_generic_colon(rep):
             continue
         assert list(c.engine) == sorted(set(c.engine), key=order.key, reverse=True)
         assert set(c.engine) == _colon_outside(ideal, range(lo, hi + 1)), c.selector
+        a = ideal.arity
+        assert c.ideal_equal == (MonomialIdeal(a, ideal.gens + c.literal)
+                                 == MonomialIdeal(a, ideal.gens + c.engine)), c.selector
     reduced, _ = reduce_variables(ideal)
     socle = socle_complement(reduced)
     assert socle == MonomialIdeal(reduced.arity, socle, weights=reduced.weights).gens
