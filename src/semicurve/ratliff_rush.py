@@ -5,8 +5,8 @@ ideals I^(k+1) : I^k over all k >= 1; I is closed when the union adds
 nothing.  Only finitely many depths are ever inspected here, so a closed
 verdict is always labelled evidence, never proof.  A not-closed verdict,
 by contrast, is final: it carries a witness monomial that certify_witness
-re-checks with both membership engines, the divisibility scan and the
-generic colon.
+re-checks with two membership engines, the divisibility scan over the
+built powers and the generic colon, neither of which found it.
 
 For ideals primary to the maximal monomial ideal one membership pass
 decides the chain.  Take s in J_k = I^(k+1) : I^k outside I and multiply
@@ -14,15 +14,26 @@ it by variables while the product stays outside I: the walk stays in the
 ideal J_k, and since only finitely many monomials lie outside I it ends
 at one that every variable pushes into I, a minimal generator of
 I : (all variables) outside I.  socle_probe tests exactly those
-candidates at every depth, and rr_chain reads J_k = I off its table
-wherever no candidate passes.  Only a depth where one passes, or an ideal
-that is not primary, pays for the generic colon.  The powers I^k are kept
-as plain kernel rows, which only the generic colon wraps in MonomialIdeals.
+candidates, and rr_chain reads J_k = I off its table wherever no
+candidate passes.  Only a depth where one passes, or an ideal that is
+not primary, pays for the generic colon.
+
+The chain ascends, J_1 <= J_2 <= ... (s * I^k <= I^(k+1) gives
+s * I^(k+1) <= I^(k+2)), so each row of the table is False up to some
+depth and True from there on.  socle_probe fills a row from the top
+depth down: one failed test there decides the whole row, which is the
+only test a closed ideal makes per candidate.  A test at depth k reads
+only I and I^k, since m lies in I^(k+1) iff some generator h of I
+divides m with m - h in I^k, decided by a divisibility index over the
+rows of I^k (kernels.membership).  So probing a closed ideal to depth d
+builds I^2..I^d and never I^(d+1).  The powers are kept as plain kernel
+rows, which only the generic colon wraps in MonomialIdeals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add, le, sub
 
 from semicurve import kernels
 from semicurve.errors import InternalCheckError, UserInputError
@@ -123,10 +134,26 @@ def scaled_in_power(mono, rows_k, rows_k1):
     return kernels.all_divisible((mono_mul(mono, g) for g in rows_k), rows_k1)
 
 
+def _scaled_in_next_power(mono, rows_k, in_k, gens):
+    """True iff mono * I^k is contained in I^(k+1), read from I = (gens),
+    the rows of I^k and in_k, membership in I^k: m lies in I^(k+1) iff
+    some h in gens divides m with m - h in I^k.  I^(k+1) is never formed,
+    and the scan stops at the first row of I^k whose product misses."""
+    for g in rows_k:
+        m = tuple(map(add, mono, g))
+        for h in gens:
+            if all(map(le, h, m)) and in_k(tuple(map(sub, m, h))):
+                break
+        else:
+            return False
+    return True
+
+
 def certify_witness(ideal, witness, k, powers):
     """Re-verify a not-closed witness with both membership engines: it must
-    lie outside I, scale I^k into I^(k+1), and lie in the generic colon
-    I^(k+1) : I^k, which powers computes once per k."""
+    lie outside I, scale I^k into I^(k+1) by the divisibility scan over the
+    built powers, and lie in the generic colon I^(k+1) : I^k, which powers
+    computes once per k.  socle_probe finds witnesses with neither engine."""
     if witness in ideal:
         raise InternalCheckError("witness lies in the ideal")
     if not scaled_in_power(witness, powers.get(k), powers.get(k + 1)):
@@ -217,7 +244,13 @@ def socle_probe(ideal, depth, powers=None):
     closure but not in I, so the verdict is NOT_CLOSED with that witness.
     If all candidates fail at every probed depth the finite filter is
     passed and the verdict is CLOSED_EVIDENCE.  The table is the stage's
-    one membership pass: rr_chain reads J_k = I off it."""
+    one membership pass: rr_chain reads J_k = I off it.
+
+    Each row is filled from the top depth down: a candidate that fails at
+    depth fails at every lower depth, and one that passes is tested one
+    depth lower until a test fails, so every row is exact (see the module
+    docstring).  The membership index of I^k is built once per depth, at
+    its first test."""
     if depth < 1:
         raise UserInputError("probe depth must be at least 1")
     if ideal.is_zero or ideal.is_unit:
@@ -226,10 +259,19 @@ def socle_probe(ideal, depth, powers=None):
         powers = PowerCache(ideal)
     candidates = socle_complement(ideal)
     degenerate = unit(ideal.arity) in candidates
+    members = {}     # k -> membership in I^k, built at the first test at k
+
+    def passes(c, k):
+        if k not in members:
+            members[k] = kernels.membership(powers.get(k))
+        return _scaled_in_next_power(c, powers.get(k), members[k], ideal.gens)
+
     table = []
     for c in candidates:
-        table.append(tuple(scaled_in_power(c, powers.get(k), powers.get(k + 1))
-                           for k in range(1, depth + 1)))
+        k = depth
+        while k and passes(c, k):
+            k -= 1
+        table.append((False,) * k + (True,) * (depth - k))
     table = tuple(table)
 
     witness = witness_depth = None

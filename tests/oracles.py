@@ -129,9 +129,12 @@ def product_gens(gens_a, gens_b):
 
 
 def power_gens(gens, k):
+    """Generators of the k-th power: every sum of k generators, each sum
+    once (duplicates are dropped after every factor, so the list stays as
+    long as the number of distinct sums)."""
     rows = [tuple(0 for _ in gens[0])]
     for _ in range(k):
-        rows = product_gens(rows, gens)
+        rows = sorted(set(product_gens(rows, gens)))
     return rows
 
 

@@ -1,7 +1,8 @@
 """Exponent kernels: minimal generators on both sides of the index size
-selection, the index's memory, empty inputs, exact large exponents, lcms
-and single-monomial colons against the oracles, and colon residues against
-the generic colon and against themselves with a cold prefix memo."""
+selection, the index's memory, membership through the index, empty inputs,
+exact large exponents, lcms and single-monomial colons against the
+oracles, and colon residues against the generic colon and against
+themselves with a cold prefix memo."""
 import random
 import time
 import tracemalloc
@@ -45,6 +46,35 @@ def test_minimalize_matches_oracle_on_seeded_rows():
         got = kernels.minimalize(rows)
         assert got == _degree_order(oracles.minimal(rows)), rows
     assert sizes == {False, True}
+
+
+def test_membership_matches_oracle_on_seeded_rows():
+    # Targets are rows moved by -2..2 per coordinate, so they take values
+    # absent from the index and values below every indexed value, around
+    # 0 and around the 2**40 offsets alike.
+    rng = random.Random(40965)
+    kinds = set()   # (answer, a value absent from the index, a value below it)
+    offsets = set()
+    for count in [0, 1, 2, 16, 17, 120] + [rng.randint(0, 120) for _ in range(60)]:
+        arity = rng.randint(1, 7)
+        rows = _seeded_rows(rng, arity, count)
+        contains = kernels.membership(rows)
+        columns = [set(column) for column in zip(*rows)]
+        for _ in range(50):
+            base = rng.choice(rows) if rows else (0,) * arity
+            target = tuple(v + rng.randint(-2, 2) for v in base)
+            want = oracles.in_ideal(target, rows)
+            assert contains(target) == want, (rows, target)
+            if rows:
+                kinds.add((want, any(t not in c for t, c in zip(target, columns)),
+                           any(t < min(c) for t, c in zip(target, columns))))
+                offsets.add(max(target) >= 1 << 40)
+    # Both answers occur on targets with values absent from the index, and
+    # misses on targets with a value below every indexed one.
+    assert {want for want, absent, _ in kinds if absent} == {True, False}
+    assert any(below and not want for want, _, below in kinds)
+    assert offsets == {False, True}
+    assert not kernels.membership([])((0, 0))
 
 
 def test_pairwise_product_matches_oracle():

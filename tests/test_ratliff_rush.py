@@ -205,17 +205,30 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_run_stage_makes_one_membership_pass(monkeypatch):
-    # The chain reads J_k = I off the probe's table: 3 candidates times
-    # 4 depths of products, and no colon.  The powers I^2..I^5 are kernel
-    # rows, built without a MonomialIdeal product.
+    # The chain reads J_k = I off the probe's table, and no colon.  Every
+    # candidate fails at the top depth, which decides its row: 3 tests,
+    # all at depth 4, none by the certificate's scan.  The powers I^2..I^4
+    # are kernel rows, built without a MonomialIdeal product, and I^5 is
+    # never built.
+    ideal = _w_reduced()
+    sizes = {len(PowerCache(ideal).get(k)): k for k in range(1, 5)}
+    assert len(sizes) == 4
+    tested = []
+    scaled = ratliff_rush._scaled_in_next_power
+
+    def counted(mono, rows_k, in_k, gens):
+        tested.append(sizes[len(rows_k)])
+        return scaled(mono, rows_k, in_k, gens)
+    monkeypatch.setattr(ratliff_rush, "_scaled_in_next_power", counted)
     scans = _counting(monkeypatch, ratliff_rush, "scaled_in_power")
     colons = _counting(monkeypatch, MonomialIdeal, "colon")
     products = _counting(monkeypatch, MonomialIdeal, "product")
     row_products = _counting(monkeypatch, kernels, "pairwise_product")
-    chain, probe = run_stage(_w_reduced(), 4)
+    chain, probe = run_stage(ideal, 4)
     assert len(probe.candidates) == 3
-    assert scans[0] == 12 and colons[0] == 0
-    assert products[0] == 0 and row_products[0] == 4
+    assert tested == [4, 4, 4]
+    assert scans[0] == 0 and colons[0] == 0
+    assert products[0] == 0 and row_products[0] == 3
     assert chain.chain_equal == (True,) * 4
 
 
@@ -339,6 +352,38 @@ def test_chain_matches_generic_colon_on_corpus_sample(corpus, monkeypatch):
         _assert_chain_parity(rep.rr.ideal, chain, probe)
 
 
+def _oracle_table(ideal, candidates, depth):
+    """The membership table by definition: c * g in I^(k+1) for every g in
+    I^k, over the oracle's powers, for k = 1..depth."""
+    powers = [power_gens(list(ideal.gens), k) for k in range(1, depth + 2)]
+    return tuple(
+        tuple(all(in_ideal(tuple(a + b for a, b in zip(c, g)), powers[k])
+                  for g in powers[k - 1])
+              for k in range(1, depth + 1))
+        for c in candidates)
+
+
+def _mixed_rows(table):
+    return sum(True in row and False in row for row in table)
+
+
+def test_probe_table_matches_oracle_on_gapped_ideals():
+    # The top-down fill gives every row exactly, at every depth: a row of
+    # depth d is the first d entries of the depth-4 row.
+    mixed = 0
+    for ideal in _gapped_ideals(100, seed=5):
+        rows = None
+        for depth in range(4, 0, -1):
+            probe = socle_probe(ideal, depth)
+            if rows is None:
+                rows = _oracle_table(ideal, probe.candidates, 4)
+            assert probe.membership_table == tuple(row[:depth] for row in rows)
+            mixed += _mixed_rows(probe.membership_table)
+    # Rows that pass only from some depth on occur, so the parity covers
+    # the step down from the top depth too.
+    assert mixed > 0
+
+
 @st.composite
 def _primary_ideals(draw):
     """Primary ideals in 2 or 3 variables: a pure power x_i^a with a in
@@ -361,6 +406,7 @@ def test_probe_table_decides_the_chain(ideal):
     assert [j.gens for j in chain.chain] == [j.gens for j in _generic_chain(ideal, 3)]
     assert list(chain.chain_equal) == [
         not any(row[k] for row in probe.membership_table) for k in range(3)]
+    assert probe.membership_table == _oracle_table(ideal, probe.candidates, 3)
 
 
 def test_standard_monomials_give_the_apery_set(corpus):
