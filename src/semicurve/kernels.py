@@ -1,9 +1,10 @@
 """Exponent-vector kernels.
 
 These are the hot inner loops of the ideal arithmetic: divisibility scans,
-minimal-generator filtering, membership through a divisibility index,
-pairwise products and lcms, colons by a single monomial, and the
-generators of a colon by variables that lie outside the ideal.  Exponent vectors are plain tuples of nonnegative ints, so the
+minimal-generator filtering, membership in the powers of an ideal read from
+its generators alone, pairwise products and lcms, colons by a single
+monomial, and the generators of a colon by variables that lie outside the
+ideal.  Exponent vectors are plain tuples of nonnegative ints, so the
 kernels are exact for arbitrarily large exponents.  Row arguments are
 sequences (tuples or lists) of such vectors; the targets of all_divisible
 are read once and may be any iterable.
@@ -15,10 +16,11 @@ taken there, below[i][v] is the OR of the bits of the rows with m[i] <= v.
 The rows dividing m are then the AND over i of below[i][m[i]], and since a
 proper divisor has a smaller degree it sorts earlier, so m is minimal iff
 that AND holds no bit below its own.  Shorter inputs keep the scan against
-the kept rows, which wins there.  membership builds the same index once
-over the rows of an ideal and answers many targets from it: a target's
-values need not occur in the index, so each coordinate is bisected for the
-largest value at or below the target's.
+the kept rows, which wins there.
+
+power_membership answers m in I^j by peeling one generator of I at a time
+and never forms a power: its answers are memoized on (m, j) for the life of
+the predicate it returns.
 
 colon_residues builds its result one index at a time, and each prefix
 residue is memoized on (rows, prefix) in a bounded LRU cache of
@@ -29,12 +31,11 @@ cache changes no result.
 A kernel that needs another one calls its private helper, never the public
 name, so the eight public functions are entered only from outside the module
 (perfbench's tracer counts calls on the public names it lists; the
-predicate that membership returns is no public name, so its queries are
-never counted).
+predicate that power_membership returns is no public name, so its queries
+are never counted).
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from operator import add, le, sub
 
@@ -171,32 +172,34 @@ def colon_residues(rows, indices):
     return list(_prefix_residues(rows, indices))
 
 
-def membership(rows):
-    """Membership in the ideal (rows) as a function of one target: True iff
-    some row divides it.
+def power_membership(gens):
+    """Membership in the powers of I = (gens) as a function contains(m, j),
+    True iff m lies in I^j, for j >= 1.
 
-    The dominance index of the module docstring is built once, with the
-    values of each coordinate sorted; a query bisects each coordinate for
-    the largest value at or below the target's and ANDs the prefix ORs
-    there, one bisection and one AND per coordinate.  rows may hold duplicates and non-minimal rows.  A target
-    coordinate below every value of its column (a negative one included)
-    rejects at once; with no rows every target is rejected."""
-    every = (1 << len(rows)) - 1
-    columns = []
-    for below in _prefix_bits(rows):
-        values = sorted(below)
-        columns.append((values, [below[v] for v in values]))
+    m lies in I^j iff some h in gens divides m with m - h in I^(j-1), and
+    j = 1 is a divisibility scan.  Every monomial of I^j has degree at
+    least j times the least degree of a generator, so a target of smaller
+    degree is rejected without a scan.  Each answer is memoized on (m, j)
+    for the life of the predicate, so the queries of one caller share the
+    quotients m - h they reach.  gens may hold duplicates and non-minimal
+    rows; with no gens every target is rejected."""
+    gens = tuple(gens)
+    low = min(map(sum, gens), default=0)
+    memo = {}
 
-    def contains(target):
-        hit = every
-        for (values, ors), t in zip(columns, target):
-            j = bisect_right(values, t)
-            if not j:
-                return False
-            hit &= ors[j - 1]
-            if not hit:
-                return False
-        return hit != 0
+    def contains(m, j):
+        key = (m, j)
+        hit = memo.get(key)
+        if hit is None:
+            if sum(m) < j * low:
+                hit = False
+            elif j == 1:
+                hit = _divides_any(gens, m)
+            else:
+                hit = any(all(map(le, h, m)) and contains(tuple(map(sub, m, h)), j - 1)
+                          for h in gens)
+            memo[key] = hit
+        return hit
     return contains
 
 

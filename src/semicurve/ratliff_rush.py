@@ -22,18 +22,21 @@ The chain ascends, J_1 <= J_2 <= ... (s * I^k <= I^(k+1) gives
 s * I^(k+1) <= I^(k+2)), so each row of the table is False up to some
 depth and True from there on.  socle_probe fills a row from the top
 depth down: one failed test there decides the whole row, which is the
-only test a closed ideal makes per candidate.  A test at depth k reads
-only I and I^k, since m lies in I^(k+1) iff some generator h of I
-divides m with m - h in I^k, decided by a divisibility index over the
-rows of I^k (kernels.membership).  So probing a closed ideal to depth d
-builds I^2..I^d and never I^(d+1).  The powers are kept as plain kernel
-rows, which only the generic colon wraps in MonomialIdeals.
+only test a closed ideal makes per candidate.  A test at depth k asks
+whether c * g lies in I^(k+1) for every generator g of I^k, through
+kernels.power_membership, which reads only the generators of I: m lies
+in I^(k+1) iff some generator h of I divides m with m - h in I^k.  The
+pure powers h^k are tried before the rows of I^k, which are built only
+when every pure power passes.  On every ideal of the acceptance corpus a
+pure power fails each test, so probing them builds no power.  The
+powers are kept as plain kernel rows, which only the generic colon wraps
+in MonomialIdeals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add, le, sub
+from operator import add
 
 from semicurve import kernels
 from semicurve.errors import InternalCheckError, UserInputError
@@ -134,19 +137,13 @@ def scaled_in_power(mono, rows_k, rows_k1):
     return kernels.all_divisible((mono_mul(mono, g) for g in rows_k), rows_k1)
 
 
-def _scaled_in_next_power(mono, rows_k, in_k, gens):
-    """True iff mono * I^k is contained in I^(k+1), read from I = (gens),
-    the rows of I^k and in_k, membership in I^k: m lies in I^(k+1) iff
-    some h in gens divides m with m - h in I^k.  I^(k+1) is never formed,
-    and the scan stops at the first row of I^k whose product misses."""
-    for g in rows_k:
-        m = tuple(map(add, mono, g))
-        for h in gens:
-            if all(map(le, h, m)) and in_k(tuple(map(sub, m, h))):
-                break
-        else:
-            return False
-    return True
+def _power_rows(gens, powers, k):
+    """The generators of I^k, the pure powers h^k of the generators h of I
+    first: each lies in I^k, so the set still generates I^k.  The rows of
+    I^k are read, and built, only once every pure power is yielded."""
+    for h in gens:
+        yield tuple(e * k for e in h)
+    yield from powers.get(k)
 
 
 def certify_witness(ideal, witness, k, powers):
@@ -199,11 +196,11 @@ def rr_chain(ideal, depth, powers=None, probe=None):
         else:
             j_k = ideal
         below = ideal if not chain else chain[-1]
-        if not below.is_subset_of(j_k):
+        if below is not j_k and not below.is_subset_of(j_k):
             raise InternalCheckError(f"colon chain not ascending at depth {k}")
         chain.append(j_k)
     chain = tuple(chain)
-    chain_equal = tuple(j == ideal for j in chain)
+    chain_equal = tuple(j is ideal or j == ideal for j in chain)
 
     stabilized_at = None
     for k in range(depth, 0, -1):
@@ -249,8 +246,9 @@ def socle_probe(ideal, depth, powers=None):
     Each row is filled from the top depth down: a candidate that fails at
     depth fails at every lower depth, and one that passes is tested one
     depth lower until a test fails, so every row is exact (see the module
-    docstring).  The membership index of I^k is built once per depth, at
-    its first test."""
+    docstring).  One power_membership predicate serves every test, and
+    a test reads the rows of I^k only after every pure power h^k passes,
+    so a row decided by the pure powers alone builds no power."""
     if depth < 1:
         raise UserInputError("probe depth must be at least 1")
     if ideal.is_zero or ideal.is_unit:
@@ -259,12 +257,11 @@ def socle_probe(ideal, depth, powers=None):
         powers = PowerCache(ideal)
     candidates = socle_complement(ideal)
     degenerate = unit(ideal.arity) in candidates
-    members = {}     # k -> membership in I^k, built at the first test at k
+    contains = kernels.power_membership(ideal.gens)
 
-    def passes(c, k):
-        if k not in members:
-            members[k] = kernels.membership(powers.get(k))
-        return _scaled_in_next_power(c, powers.get(k), members[k], ideal.gens)
+    def passes(c, k):   # c * I^k <= I^(k+1)
+        return all(contains(tuple(map(add, c, g)), k + 1)
+                   for g in _power_rows(ideal.gens, powers, k))
 
     table = []
     for c in candidates:

@@ -1,5 +1,5 @@
 """Exponent kernels: minimal generators on both sides of the index size
-selection, the index's memory, membership through the index, empty inputs,
+selection, the index's memory, membership in powers, empty inputs,
 exact large exponents, lcms and single-monomial colons against the
 oracles, and colon residues against the generic colon and against
 themselves with a cold prefix memo."""
@@ -48,33 +48,46 @@ def test_minimalize_matches_oracle_on_seeded_rows():
     assert sizes == {False, True}
 
 
-def test_membership_matches_oracle_on_seeded_rows():
-    # Targets are rows moved by -2..2 per coordinate, so they take values
-    # absent from the index and values below every indexed value, around
-    # 0 and around the 2**40 offsets alike.
-    rng = random.Random(40965)
-    kinds = set()   # (answer, a value absent from the index, a value below it)
-    offsets = set()
-    for count in [0, 1, 2, 16, 17, 120] + [rng.randint(0, 120) for _ in range(60)]:
+def _power_targets(rng, gens, j):
+    """Targets around I^j: sums of j generators (of the least degree ones
+    too, so some sit exactly on the degree bound), moved by -1..1 per
+    coordinate and clamped at 0."""
+    low = [h for h in gens if sum(h) == min(map(sum, gens))]
+    for pool in (gens, gens, low):
+        base = [sum(col) for col in zip(*(rng.choice(pool) for _ in range(j)))]
+        yield tuple(base)
+        yield tuple(max(0, v + rng.randint(-1, 1)) for v in base)
+
+
+def test_power_membership_matches_oracle_on_seeded_gens():
+    # One predicate per generator set answers every j in 1..5 in a random
+    # order, so its memo is shared across powers as in the socle probe.
+    rng = random.Random(40967)
+    seen = set()   # (j > 1, answer, below the degree bound, in I, on it)
+    offsets = units = 0
+    for _ in range(120):
         arity = rng.randint(1, 7)
-        rows = _seeded_rows(rng, arity, count)
-        contains = kernels.membership(rows)
-        columns = [set(column) for column in zip(*rows)]
-        for _ in range(50):
-            base = rng.choice(rows) if rows else (0,) * arity
-            target = tuple(v + rng.randint(-2, 2) for v in base)
-            want = oracles.in_ideal(target, rows)
-            assert contains(target) == want, (rows, target)
-            if rows:
-                kinds.add((want, any(t not in c for t, c in zip(target, columns)),
-                           any(t < min(c) for t, c in zip(target, columns))))
-                offsets.add(max(target) >= 1 << 40)
-    # Both answers occur on targets with values absent from the index, and
-    # misses on targets with a value below every indexed one.
-    assert {want for want, absent, _ in kinds if absent} == {True, False}
-    assert any(below and not want for want, _, below in kinds)
-    assert offsets == {False, True}
-    assert not kernels.membership([])((0, 0))
+        gens = _seeded_rows(rng, arity, rng.randint(1, 6))
+        if rng.random() < 0.1:
+            gens.append((0,) * arity)
+            units += 1
+        contains = kernels.power_membership(gens)
+        low = min(map(sum, gens))
+        queries = [(t, j) for j in range(1, 6) for t in _power_targets(rng, gens, j)]
+        rng.shuffle(queries)
+        for target, j in queries:
+            want = oracles.in_ideal(target, oracles.power_gens(gens, j))
+            assert contains(target, j) == want, (gens, target, j)
+            seen.add((j > 1, want, sum(target) < j * low,
+                      oracles.in_ideal(target, gens), sum(target) == j * low))
+            offsets += max(target) >= 1 << 40
+    # Both answers occur beyond j = 1; the degree bound rejects members of
+    # I, and members of I^j lie exactly on it (a cut at <= fails there).
+    assert {want for high, want, *_ in seen if high} == {True, False}
+    assert (True, False, True, True, False) in seen
+    assert (True, True, False, True, True) in seen
+    assert offsets and units
+    assert not kernels.power_membership([])((0, 0), 1)
 
 
 def test_pairwise_product_matches_oracle():

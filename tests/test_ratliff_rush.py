@@ -204,32 +204,82 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
-def test_run_stage_makes_one_membership_pass(monkeypatch):
-    # The chain reads J_k = I off the probe's table, and no colon.  Every
-    # candidate fails at the top depth, which decides its row: 3 tests,
-    # all at depth 4, none by the certificate's scan.  The powers I^2..I^4
-    # are kernel rows, built without a MonomialIdeal product, and I^5 is
-    # never built.
-    ideal = _w_reduced()
-    sizes = {len(PowerCache(ideal).get(k)): k for k in range(1, 5)}
-    assert len(sizes) == 4
-    tested = []
-    scaled = ratliff_rush._scaled_in_next_power
+def _counting_queries(monkeypatch):
+    """Make every kernels.power_membership predicate record the power j of
+    each query from outside the kernel; return the list of them."""
+    queries = []
+    build = kernels.power_membership
 
-    def counted(mono, rows_k, in_k, gens):
-        tested.append(sizes[len(rows_k)])
-        return scaled(mono, rows_k, in_k, gens)
-    monkeypatch.setattr(ratliff_rush, "_scaled_in_next_power", counted)
+    def counted_build(gens):
+        contains = build(gens)
+
+        def counted(m, j):
+            queries.append(j)
+            return contains(m, j)
+        return counted
+    monkeypatch.setattr(kernels, "power_membership", counted_build)
+    return queries
+
+
+def test_run_stage_makes_one_membership_pass(monkeypatch):
+    # The chain reads J_k = I off the probe's table, and takes no colon.
+    # Every candidate fails at the top depth on a pure power h^4, which
+    # decides its row: four queries, all for I^5 (one candidate passes
+    # the first pure power it meets), and no power is read, so none is
+    # built, neither by the probe nor by a certificate's scan.
+    ideal = _w_reduced()
+    queries = _counting_queries(monkeypatch)
+    kernels_built = _counting(monkeypatch, kernels, "power_membership")
+    reads = _counting(monkeypatch, PowerCache, "get")
     scans = _counting(monkeypatch, ratliff_rush, "scaled_in_power")
     colons = _counting(monkeypatch, MonomialIdeal, "colon")
     products = _counting(monkeypatch, MonomialIdeal, "product")
     row_products = _counting(monkeypatch, kernels, "pairwise_product")
     chain, probe = run_stage(ideal, 4)
     assert len(probe.candidates) == 3
-    assert tested == [4, 4, 4]
-    assert scans[0] == 0 and colons[0] == 0
-    assert products[0] == 0 and row_products[0] == 3
+    assert kernels_built[0] == 1 and queries == [5] * 4
+    assert reads[0] == 0 and scans[0] == 0 and colons[0] == 0
+    assert products[0] == 0 and row_products[0] == 0
     assert chain.chain_equal == (True,) * 4
+
+
+def test_a_passing_test_reads_the_power(monkeypatch):
+    # The pure powers h^k are only part of I^k: a test passes only once the
+    # rows of I^k pass too, so every depth where a row passes reads
+    # PowerCache.get(k) before the witness is certified.
+    reads, at_certify = [], []
+    get, certify = PowerCache.get, ratliff_rush.certify_witness
+
+    def counted_get(self, k):
+        reads.append(k)
+        return get(self, k)
+
+    def counted_certify(*args):
+        at_certify.append(set(reads))
+        return certify(*args)
+    monkeypatch.setattr(PowerCache, "get", counted_get)
+    monkeypatch.setattr(ratliff_rush, "certify_witness", counted_certify)
+    probe = socle_probe(NEGATIVE_CONTROL, 4)
+    passing = {k for row in probe.membership_table
+               for k, hit in enumerate(row, start=1) if hit}
+    assert passing == {1, 2, 3, 4}
+    assert at_certify == [passing]
+
+
+def test_pure_powers_alone_do_not_decide_a_test():
+    # x^2*z^2 is a socle candidate whose products with every pure power h^2
+    # lie in I^3, yet its product with the row x^2*y^3*z^3 = (x*y^2*z) *
+    # (x*y*z^2) of I^2 does not: only from depth 3 on does it pass.
+    ideal = MonomialIdeal(3, [(4, 0, 0), (0, 4, 0), (0, 0, 4), (3, 0, 1),
+                              (1, 0, 3), (1, 1, 2), (1, 2, 1)])
+    c, gens = (2, 0, 2), list(ideal.gens)
+    cube = power_gens(gens, 3)
+    assert all(in_ideal(tuple(a + 2 * b for a, b in zip(c, h)), cube) for h in gens)
+    assert not in_ideal((4, 3, 5), cube)
+    probe = socle_probe(ideal, 3)
+    assert probe.membership_table == _oracle_table(ideal, probe.candidates, 3)
+    assert probe.membership_table[probe.candidates.index(c)] == (False, False, True)
+    assert probe.witness == c and probe.witness_depth == 3
 
 
 def test_run_stage_takes_each_grown_colon_once(monkeypatch):
@@ -382,6 +432,39 @@ def test_probe_table_matches_oracle_on_gapped_ideals():
     # Rows that pass only from some depth on occur, so the parity covers
     # the step down from the top depth too.
     assert mixed > 0
+
+
+def _mixed_degree_ideals(count, seed):
+    """Seeded primary ideals of mixed degrees in 2 or 3 variables: a pure
+    power x_i^a per variable, a in 2..8, plus 1 to 4 random monomials with
+    exponents below 6."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        arity = rng.randrange(2, 4)
+        pure = [tuple(rng.randint(2, 8) if j == i else 0 for j in range(arity))
+                for i in range(arity)]
+        extra = [tuple(rng.randrange(6) for _ in range(arity))
+                 for _ in range(rng.randint(1, 4))]
+        yield MonomialIdeal(arity, pure + [m for m in extra if any(m)])
+
+
+def test_probe_table_matches_oracle_on_mixed_degree_ideals():
+    # The gapped family has generators of one degree; here the degree bound
+    # of kernels.power_membership cuts between generators of unequal ones.
+    # NOT_CLOSED is rare in this family (2 of these 2,000 ideals), hence
+    # the size of the sample.
+    verdicts, degrees = set(), set()
+    for ideal in _mixed_degree_ideals(2000, seed=1):
+        rows = None
+        for depth in range(3, 0, -1):
+            probe = socle_probe(ideal, depth)
+            if rows is None:
+                rows = _oracle_table(ideal, probe.candidates, 3)
+                verdicts.add(probe.verdict)
+            assert probe.membership_table == tuple(row[:depth] for row in rows)
+        degrees.add(len({sum(g) for g in ideal.gens}) > 1)
+    assert verdicts == {Verdict.NOT_CLOSED, Verdict.CLOSED_EVIDENCE}
+    assert True in degrees
 
 
 @st.composite
