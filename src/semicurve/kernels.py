@@ -28,11 +28,18 @@ PREFIX_MEMO_SIZE entries, so the colons of one ideal by nested index
 prefixes share one walk.  A prefix residue depends only on its key, so the
 cache changes no result.
 
+A row scanned many times is kept in support form: its (index, exponent)
+pairs with a nonzero exponent, paired with a value (_supports).  The
+first-divisor scan (_first_divisor) compares only those pairs, so the
+empty support of the unit monomial divides everything.  colon_residues
+filters its lcms against the support forms of rows, built once per prefix
+step, and groebner finds its first dividing rewrite rule the same way.
+
 A kernel that needs another one calls its private helper, never the public
 name, so the eight public functions are entered only from outside the module
 (perfbench's tracer counts calls on the public names it lists; the
 predicate that power_membership returns is no public name, so its queries
-are never counted).
+are never counted, and neither are groebner's support scans).
 """
 from __future__ import annotations
 
@@ -100,6 +107,27 @@ def _divides_any(rows, target):
     return False
 
 
+def _supports(rows, values):
+    """The support form of each row paired with its value: the support form
+    of m is its (index, exponent) pairs with a nonzero exponent, in index
+    order."""
+    return [(tuple([(i, e) for i, e in enumerate(m) if e]), v)
+            for m, v in zip(rows, values)]
+
+
+def _first_divisor(entries, m):
+    """The value of the first (support form, value) pair in entries whose
+    monomial divides m, or None.  Only the nonzero exponents are compared,
+    so the empty support of the unit monomial divides every m."""
+    for support, value in entries:
+        for i, e in support:
+            if m[i] < e:
+                break
+        else:
+            return value
+    return None
+
+
 def minimalize(rows):
     """Minimal elements of rows under divisibility, sorted by (degree, exps).
 
@@ -137,9 +165,21 @@ def _prefix_residues(rows, prefix):
     single = [g[:i] + (g[i] - 1,) + g[i + 1:] for g in rows if g[i]]
     if not head:
         return tuple(single)
-    lcms = {tuple(map(max, a, b)) for a in _prefix_residues(rows, head)
-            for b in single if a[i] <= b[i] and all(b[j] <= a[j] for j in head)}
-    return tuple(_minimalize([m for m in lcms if not _divides_any(rows, m)]))
+    lcms = set()
+    for a in _prefix_residues(rows, head):
+        ai = a[i]
+        for b in single:
+            if ai > b[i]:
+                continue
+            for j in head:
+                if b[j] > a[j]:
+                    break
+            else:
+                lcms.add(tuple(map(max, a, b)))
+    if not lcms:
+        return ()
+    entries = _supports(rows, rows)
+    return tuple(_minimalize([m for m in lcms if _first_divisor(entries, m) is None]))
 
 
 def colon_residues(rows, indices):

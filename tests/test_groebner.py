@@ -147,6 +147,52 @@ def test_gb_verify_matches_oracle_on_random_binomials(case):
     _agrees_with_oracle(basis, WeightedGrevlexOrder(tuple(weights)))
 
 
+def _sparse_exponents(n):
+    """Exponent lists of arity n with at most n // 2 nonzero entries."""
+    return st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=n // 2).map(
+        lambda exps: [exps.get(i, 0) for i in range(n)])
+
+
+_sparse_bases = st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 9), min_size=n, max_size=n),
+    st.lists(st.tuples(_sparse_exponents(n), _sparse_exponents(n))
+             .filter(lambda uv: uv[0] != uv[1]),
+             min_size=1, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_sparse_bases)
+def test_gb_verify_matches_oracle_on_sparse_high_arity_binomials(case):
+    # The leads of a curve basis have at most 3 nonzero exponents out of
+    # 5 to 8; rewrite rules compare only the nonzero ones.
+    weights, pairs = case
+    basis = [Polynomial.from_binomial(Binomial(tuple(u), tuple(v))) for u, v in pairs]
+    _agrees_with_oracle(basis, WeightedGrevlexOrder(tuple(weights)))
+
+
+def test_gb_verify_rewrites_with_the_first_dividing_rule():
+    # Leads x2^2, x1*x2, x1^2 and x0*x1 under (1, 1, 1).  The S-pair of the
+    # first two reaches x0*x1^2, which both x1^2 - x0*x2 and x0*x1 - x0^2
+    # divide: with x1^2 first it reduces to zero and the pair (1, 3) fails,
+    # with x0*x1 first the pair (0, 1) fails at once.
+    order = WeightedGrevlexOrder((1, 1, 1))
+    f, g, h1, h2 = (Polynomial(3, {u: 1, v: -1}) for u, v in [
+        ((0, 0, 2), (1, 1, 0)), ((0, 1, 1), (2, 0, 0)),
+        ((0, 2, 0), (1, 0, 1)), ((1, 1, 0), (2, 0, 0))])
+    remainder = {(2, 0, 1): 1, (3, 0, 0): -1}
+    assert _fields(gb_verify([f, g, h1, h2], order)) == (False, 3, 2, (1, 3), remainder)
+    assert _fields(gb_verify([f, g, h2, h1], order)) == (False, 1, 0, (0, 1), remainder)
+    assert not _agrees_with_oracle([f, g, h1, h2], order)
+    assert not _agrees_with_oracle([f, g, h2, h1], order)
+
+
+def test_gb_verify_pair_counts_at_p20():
+    # 25, 26, ..., 45; 47: 228 binomials in 22 variables.
+    curve = CurveInstance.parse(",".join(map(str, range(25, 46))) + ";47")
+    report = gb_verify(_basis(curve), curve.order())
+    assert _fields(report) == (True, 4292, 21586, None, None)
+
+
 def test_leading_ideal_and_scalar_invariance():
     basis = _basis()
     want = MonomialIdeal(4, [(0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0),

@@ -1,8 +1,8 @@
 """Exponent kernels: minimal generators on both sides of the index size
 selection, the index's memory, membership in powers, empty inputs,
 exact large exponents, lcms and single-monomial colons against the
-oracles, and colon residues against the generic colon and against
-themselves with a cold prefix memo."""
+oracles, and colon residues against the generic colon (on sparse rows in
+6-8 variables too) and against themselves with a cold prefix memo."""
 import random
 import time
 import tracemalloc
@@ -193,6 +193,50 @@ def test_colon_residues_match_generic_colon_on_seeded_ideals():
         _check_residues(ideal, indices)
         _check_residues(ideal, [indices[0]])
         _check_residues(ideal, range(arity))
+
+
+def _sparse_rows(rng, arity):
+    """1-9 rows with 1-3 nonzero exponents each."""
+    rows = []
+    for _ in range(rng.randint(1, 9)):
+        m = [0] * arity
+        for i in rng.sample(range(arity), rng.randint(1, 3)):
+            m[i] = rng.randint(1, 4)
+        rows.append(tuple(m))
+    return rows
+
+
+def _disjoint_rows(rng, arity):
+    """Rows over pairwise disjoint sets of 1-3 variables."""
+    free = rng.sample(range(arity), arity)
+    rows = []
+    while free:
+        k = rng.randint(1, 3)
+        part, free = free[:k], free[k:]
+        rows.append(tuple(rng.randint(1, 4) if i in part else 0 for i in range(arity)))
+    return rows
+
+
+def test_colon_residues_match_generic_colon_on_sparse_rows():
+    rng = random.Random(20054)
+    found = 0
+    for k in range(300):
+        arity = rng.randint(6, 8)
+        ideal = MonomialIdeal(arity, (_disjoint_rows if k % 3 == 0 else _sparse_rows)(rng, arity))
+        indices = rng.sample(range(arity), rng.randint(1, arity))
+        for walk in (indices, range(arity)):
+            _check_residues(ideal, walk)
+            found += len(kernels.colon_residues(ideal.gens, walk))
+    assert found > 0
+    unit = MonomialIdeal(7, [(0,) * 7])
+    for walk in ([3], range(7)):
+        _check_residues(unit, walk)
+    # The unit monomial's support is empty and divides every target.
+    entries = kernels._supports([(0, 2, 0, 0, 0, 1), (0,) * 6], "ab")
+    assert entries[1] == ((), "b")
+    assert kernels._first_divisor(entries, (0, 1, 0, 0, 0, 1)) == "b"
+    assert kernels._first_divisor(entries, (7, 2, 0, 0, 0, 1)) == "a"
+    assert kernels._first_divisor(entries[:1], (7, 1, 9, 9, 9, 9)) is None
 
 
 def _memo_spans(arity):
