@@ -3,19 +3,28 @@
 An instance is an arithmetic sequence m0 < m1 < ... < mp together with one
 extra generator mn (n = p+1); the full list generates the numerical
 semigroup the curve is modeled on.  This module provides exact membership,
-the g_t ladder, the set S of semigroup elements whose predecessor by m0
-falls outside, and the derivation of the structure parameters (u, v, w, z,
-lam, mu, q, r, q_z, r_z, eps) with exhaustive uniqueness verification.
+the g_t ladder, and the derivation of the structure parameters (u, v, w,
+z, lam, mu, q, r, q_z, r_z, eps) with exhaustive uniqueness verification.
 
-Membership goes through the Apery set Ap(S, m) of the least generator m:
-its entry for residue i is the least element of S congruent to i mod m, so
-x lies in S iff x >= Ap[x mod m].  The set is built by the round-robin
-algorithm of Boecker and Liptak (Algorithmica 48, 2007) in O(k*m) integer
-steps for k generators.  A residue class that no combination reaches keeps
-an infinite sentinel: the arithmetic part alone may have gcd > 1.  Below
-2*m the only elements are 0 and the generators themselves, so `member`
-answers such queries without building a set.  `validate` bounds every
-generator by MAX_GENERATOR, which bounds the length of every Apery set.
+Membership of general generator tuples goes through the Apery set
+Ap(S, m) of the least generator m: its entry for residue i is the least
+element of S congruent to i mod m, so x lies in S iff x >= Ap[x mod m].
+The set is built by the round-robin algorithm of Boecker and Liptak
+(Algorithmica 48, 2007) in O(k*m) integer steps for k generators.  A
+residue class that no combination reaches keeps an infinite sentinel.
+Below 2*m the only elements are 0 and the generators themselves, so
+`member` answers such queries without building a set.  `validate` bounds
+every generator by MAX_GENERATOR, which bounds the length of every Apery
+set.
+
+`derive` builds none: the Apery set of the arithmetic part
+A = <m0, m0+d, ..., m0+pd> is closed-form.  A sum of k of its generators
+is k*m0 + j*d with 0 <= j <= k*p, so the least element of A of the form
+c*m0 + j*d is the ladder value g_j = ceil(j/p)*m0 + j*d.  With
+G = gcd(m0, d) and M = m0/G, the classes j*d mod m0 for j in [0, M) are
+the M distinct multiples of G, and g_j grows with j, so
+Ap(A, m0) = {g_j : 0 <= j < M}.  Hence x lies in A iff G divides
+x mod m0 and x >= g_j, where j = (x mod m0)/G * (d/G)^-1 mod M.
 """
 from __future__ import annotations
 
@@ -146,21 +155,14 @@ class CurveInstance:
         return cls(arith, extra)
 
 
-def in_S(instance, gamma):
-    """gamma lies in the semigroup but gamma - m0 does not."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    gens = instance.weights
-    return member(gens, gamma) and not member(gens, gamma - instance.arith[0])
-
-
 @dataclass(frozen=True)
 class DerivedParams:
     """Structure parameters of an instance.
 
-    u is the first rung of the g_t ladder outside S; v the least multiple
-    of the extra generator landing in the semigroup of the arithmetic
-    part.  (w, lam) and (z, mu) are the unique solutions of
+    u is the first rung of the g_t ladder outside S, the set of semigroup
+    elements whose predecessor by m0 falls outside the semigroup; v the
+    least multiple of the extra generator landing in the semigroup of the
+    arithmetic part.  (w, lam) and (z, mu) are the unique solutions of
     g_u = lam*m0 + w*mn and v*mn = mu*m0 + g_z over their stated ranges;
     (q, r) and (q_z, r_z) are the ladder splits of u and z.  eps is 1 when
     r <= r_z.  CASE2 means eps = q_z = 0.
@@ -188,30 +190,47 @@ class DerivedParams:
 
 def derive(instance):
     """Derive all structure parameters, verifying uniqueness and the
-    cross identity exactly.  Raises InternalCheckError if a search cap is
-    exceeded or a uniqueness/identity check fails, which signals either a
-    bug or an invalid instance that slipped past validation."""
+    cross identity exactly.  Raises InternalCheckError if a uniqueness or
+    identity check fails, which signals either a bug or an invalid
+    instance that slipped past validation.
+
+    u and v come from residues of the arithmetic part A = <m0, ..., mp>,
+    whose Apery set is closed-form (see the module docstring).  v is the
+    least b >= 1 with b*mn in A; b = m0 always qualifies.  Every g_t lies
+    in A, so it falls outside S exactly when g_t - m0 lies in
+    A + N*mn, that is when g_t - m0 - b*mn lies in A for some
+    0 <= b < v (v*mn lies in A, so a larger b reduces to b - v).  b = 0
+    first holds at t = M.  For 1 <= b < v, b*mn lies in the class of j*d
+    for one j in [1, M), or in no class of A; g_t - m0 - b*mn lies in the
+    class of (t - j)*d, so t < j fails (the Apery element of that class,
+    g_(t-j+M), exceeds g_t), and for j <= t < M the test reads
+    g_t - g_(t-j) >= m0 + b*mn, whose left side has period p in t: only
+    t in [j, j + p) can be least.  So u = min(M, those t), in O(v*p)
+    steps."""
     arith = instance.arith
     m0, mn, p = arith[0], instance.extra, instance.p
-    full = instance.weights
+    d = arith[1] - m0
+    G = math.gcd(m0, d)
+    M = m0 // G
+    inv = pow(d // G, -1, M)
 
-    u = None
-    cap = p * (m0 + mn) * 4
-    for t in range(cap + 1):
-        _, _, g = t_decompose(t, arith)
-        if not in_S(instance, g):
-            u = t
-            break
-    if u is None:
-        raise InternalCheckError(f"no ladder value outside S within cap {cap}")
+    def g(t):
+        return -(-t // p) * m0 + t * d
 
-    v = None
+    u = M
     for b in range(1, m0 + 1):
-        if member(arith, b * mn):
+        x = b * mn
+        res = x % m0
+        if res % G:
+            continue
+        j = res // G * inv % M
+        if x >= g(j):
             v = b
             break
-    if v is None:
-        raise InternalCheckError(f"no multiple of {mn} in the arithmetic-part semigroup up to {m0}")
+        for t in range(j, min(j + p, u)):
+            if g(t) - g(t - j) >= m0 + x:
+                u = t
+                break
 
     q, r, g_u = t_decompose(u, arith)
 

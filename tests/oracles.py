@@ -40,13 +40,23 @@ def ladder(t, arith):
     return q, r, q * arith[p] + arith[r]
 
 
-def sequence_params(arith, mn, limit=4000):
+def sequence_params(arith, mn, limit=64):
     """Independent derivation of the ladder-based parameters.
 
     Returns a dict with u, v, w, z, lam, mu, q, r, q_z, r_z, eps, plus the
     solution-count fields w_lam_solutions and z_mu_solutions from the
-    exhaustive uniqueness scans.
+    exhaustive uniqueness scans.  Both semigroups are enumerated up to
+    limit, which decides every value up to it exactly; when u or v lies
+    beyond that, the derivation starts over with the limit doubled.
     """
+    while True:
+        try:
+            return _sequence_params(arith, mn, limit)
+        except RuntimeError:
+            limit *= 2
+
+
+def _sequence_params(arith, mn, limit):
     m0, mp = arith[0], arith[-1]
     gens_prime = tuple(arith)
     gens_full = tuple(arith) + (mn,)
@@ -65,7 +75,9 @@ def sequence_params(arith, mn, limit=4000):
     if u is None:
         raise RuntimeError("limit too small for u")
 
-    v = next(b for b in range(1, limit) if b * mn in gamma_prime)
+    v = next((b for b in range(1, limit // mn + 1) if b * mn in gamma_prime), None)
+    if v is None:
+        raise RuntimeError("limit too small for v")
 
     q, r, g_u = ladder(u, arith)
 

@@ -173,14 +173,26 @@ def test_large_exponents_stay_cheap(capsys, command, payload):
 
 
 def test_large_instance_params_stay_cheap(capsys):
-    # derive asks membership of values up to v * mn, about 2 * 10^8; the
-    # Apery set it answers from has 20000 entries.
+    # derive reads u and v off the closed-form Apery set of the arithmetic
+    # part, in O(1) per multiple of mn up to v = 10001, and builds no
+    # membership table; the (z, mu) scan walks u = 10000 rungs.
     code, out, err = run(capsys, "params", "--json", "20000,20001;19999")
     assert code == 0 and err == ""
     assert json.loads(out) == {
         "instance": "20000,20001;19999", "u": 10000, "v": 10001, "w": 10000, "z": 9999,
         "lam": 1, "mu": 1, "q": 9999, "r": 1, "q_z": 9998, "r_z": 1, "eps": 1,
         "case": "CASE1"}
+
+
+def test_wide_instance_near_the_generator_limit_params(capsys):
+    # p = 20 with every generator near 10^6: an Apery set of the least
+    # generator would hold 999000 entries; derive needs none.
+    text = ",".join(str(999000 + i) for i in range(21)) + ";999999"
+    code, out, err = run(capsys, "params", "--json", text)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "instance": text, "u": 999, "v": 1000, "w": 1, "z": 0, "lam": 49, "mu": 1001,
+        "q": 49, "r": 19, "q_z": -1, "r_z": 20, "eps": 1, "case": "CASE1"}
 
 
 @pytest.mark.parametrize("command", ["validate", "params", "gens", "run"])

@@ -1,15 +1,16 @@
 """Sequence validation, semigroup membership, and derived parameters."""
 
+import math
 import random
 
 import pytest
 
+from semicurve import semigroup
 from semicurve.semigroup import (
     MAX_GENERATOR,
     Case,
     CurveInstance,
     derive,
-    in_S,
     member,
     t_decompose,
     validate,
@@ -103,16 +104,57 @@ def _valid_instances_beyond_corpus(count, seed):
     return out
 
 
-def test_derived_params_match_independent_oracle():
+def _wide_sample(count, seed):
+    """Seeded instances with p in 1..12 and m0 up to 600, in three kinds by
+    turn: valid ones with d in 1..60, valid ones with gcd(m0, d) > 1, and
+    ones with m0 | d and gcd(m0, mn) = 1.  The last kind fails validation
+    (m1 lies in <m0>), but its parameters are well defined: the arithmetic
+    part is m0*N, and u = 1, v = m0."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p, kind = rng.randint(1, 12), len(out) % 3
+        if kind == 0:
+            m0, d = rng.randint(2, 600), rng.randint(1, 60)
+        elif kind == 1:
+            f = rng.choice((2, 3, 5))
+            m0, d = f * rng.randint(1, 600 // f), f * rng.randint(1, 60 // f)
+        else:
+            m0 = rng.randint(2, 30)
+            d = m0 * rng.randint(1, 60 // m0)
+        arith = tuple(m0 + i * d for i in range(p + 1))
+        extra = rng.randint(2, 2 * m0)
+        if validate(arith, extra).ok if kind < 2 else math.gcd(m0, extra) == 1:
+            out.append(CurveInstance(arith, extra))
+    return out
+
+
+PARAM_KEYS = ("u", "v", "w", "z", "lam", "mu", "q", "r", "q_z", "r_z", "eps")
+
+
+def test_derived_params_match_independent_oracle(monkeypatch):
+    # u and v come from the closed-form Apery set of the arithmetic part,
+    # so derive must not build a membership table on any instance.
+    def refuse(generators):
+        raise AssertionError(f"derive built an Apery set of {generators}")
+
     texts = ("5,8,11;7", "4,7,10;13", "5,7,9;8", "7,8,9;11", "6,7,8;9", "21,22,23,24;16")
-    curves = [CurveInstance.parse(t) for t in texts]
-    for curve in curves + _valid_instances_beyond_corpus(100, seed=7):
+    wide = _wide_sample(300, seed=16)
+    assert sum(math.gcd(c.arith[0], c.arith[1] - c.arith[0]) > 1 for c in wide) >= 200
+    assert sum((c.arith[1] - c.arith[0]) % c.arith[0] == 0 for c in wide) == 100
+    assert max(c.p for c in wide) == 12 and max(c.arith[0] for c in wide) > 550
+    k = 300
+    curves = ([CurveInstance.parse(t) for t in texts] + _valid_instances_beyond_corpus(100, seed=7)
+              + wide + [CurveInstance((2 * k, 2 * k + 1), 2 * k - 1)])
+    semigroup._membership_table.cache_clear()
+    monkeypatch.setattr(semigroup, "SemigroupMembership", refuse)
+    assert derive(CurveInstance.parse(W_TEXT)).to_dict() == W_PARAMS
+    for curve in curves:
         got = derive(curve).to_dict()
-        limit = max(4000, curve.arith[0] * (curve.extra + curve.arith[-1]))
-        want = sequence_params(curve.arith, curve.extra, limit=limit)
+        want = sequence_params(curve.arith, curve.extra)
         assert len(want["w_lam_solutions"]) == 1, curve.text()
         assert len(want["z_mu_solutions"]) == 1, curve.text()
-        for key in ("u", "v", "w", "z", "lam", "mu", "q", "r", "q_z", "r_z", "eps"):
+        for key in PARAM_KEYS:
             assert got[key] == want[key], (curve.text(), key)
 
 
@@ -136,11 +178,12 @@ def test_case_split():
     assert dp.eps == 0 and dp.q_z == 0 and dp.case is Case.CASE2
 
 
-def test_in_S_definition():
-    w = CurveInstance.parse(W_TEXT)
-    gens = w.weights
-    limit = 100
-    gamma = members_upto(gens, limit)
-    for gamma_val in range(limit - gens[0]):
-        expected = gamma_val in gamma and (gamma_val - gens[0]) not in gamma
-        assert in_S(w, gamma_val) == expected
+def test_u_matches_definition_of_S():
+    # S holds the semigroup elements whose predecessor by m0 lies outside
+    # the semigroup; u is the first rung of the g_t ladder outside S.
+    for curve in [CurveInstance.parse(W_TEXT)] + _wide_sample(300, seed=16):
+        m0, u = curve.arith[0], derive(curve).u
+        ladder = [t_decompose(t, curve.arith)[2] for t in range(u + 1)]
+        gamma = members_upto(curve.weights, ladder[-1])
+        in_S = [g in gamma and g - m0 not in gamma for g in ladder]
+        assert all(in_S[:u]) and not in_S[u], curve.text()
