@@ -46,7 +46,7 @@ def _mono(arity, pairs):
         if not 0 <= idx < arity:
             raise InternalCheckError(f"variable index {idx} outside arity {arity}")
         e[idx] += c
-    if any(x < 0 for x in e):
+    if min(e) < 0:
         return None
     return tuple(e)
 
@@ -68,7 +68,7 @@ def patil_singh_generators(dp, instance):
         b = Binomial(lead, tail)
         if not kernel_check(b, instance.weights):
             raise InternalCheckError(f"{label} is not weighted-homogeneous for {instance.text()}")
-        if order.key(lead) <= order.key(tail):
+        if not order.exceeds(lead, tail):
             raise InternalCheckError(f"{label} lead is not the larger side for {instance.text()}")
         out.append(b)
 

@@ -20,7 +20,10 @@ masks share no bit.
 
 Polynomial is the exact container the check reads its basis from and
 reports a remainder in; general division over the rationals is not needed
-here (the test oracles keep it).
+here (the test oracles keep it).  The lead of a binomial, in the check and
+in leading_ideal, comes from one comparison of its two terms
+(WeightedGrevlexOrder.exceeds: weighted degrees, then exponent tuples), and
+no order key is built.
 """
 from __future__ import annotations
 
@@ -59,10 +62,15 @@ class Polynomial:
         return not self.terms
 
     def leading(self, order):
-        """(monomial, coefficient) of the largest term under the order."""
+        """(monomial, coefficient) of the largest term under the order; two
+        terms are compared by order.exceeds, more by order.key."""
         if self.is_zero:
             raise ValueError("the zero polynomial has no leading term")
-        lm = max(self.terms, key=order.key)
+        if len(self.terms) == 2:
+            a, b = self.terms
+            lm = a if order.exceeds(a, b) else b
+        else:
+            lm = max(self.terms, key=order.key)
         return lm, self.terms[lm]
 
     def __eq__(self, other):
@@ -87,8 +95,8 @@ def _rule(g, order):
     if len(g.terms) != 2 or sorted(g.terms.values()) != [-1, 1]:
         raise ValueError("basis members must be binomials u - v with "
                          f"coefficients +1 and -1, got {g.terms}")
-    lead = g.leading(order)[0]
-    tail, = (m for m in g.terms if m != lead)
+    a, b = g.terms
+    lead, tail = (a, b) if order.exceeds(a, b) else (b, a)
     shift = tuple(map(sub, tail, lead))
     return lead, shift, sum(map(mul, shift, order.weights))
 

@@ -16,14 +16,7 @@ import json
 
 from semicurve import kernels
 from semicurve.errors import UserInputError
-from semicurve.monomials import WeightedGrevlexOrder, format_monomial
-
-
-def _canonical_sort(gens, arity, weights):
-    if len(gens) < 2:
-        return tuple(gens)
-    order = WeightedGrevlexOrder(weights or (1,) * arity)
-    return tuple(sorted(gens, key=order.key, reverse=True))
+from semicurve.monomials import descending, format_monomial
 
 
 class MonomialIdeal:
@@ -37,15 +30,17 @@ class MonomialIdeal:
             weights = tuple(weights)
             if len(weights) != arity:
                 raise ValueError("weights arity mismatch")
+            if min(weights, default=1) <= 0:
+                raise ValueError("weights must be positive integers")
         if not _minimal:
             for g in gens:
                 if len(g) != arity:
                     raise ValueError(f"generator arity {len(g)} != ideal arity {arity}")
-                if any(e < 0 for e in g):
+                if min(g, default=0) < 0:
                     raise ValueError(f"negative exponent in generator {g}")
             gens = kernels.minimalize(gens)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "gens", _canonical_sort(gens, arity, weights))
+        object.__setattr__(self, "gens", descending(gens, weights))
         object.__setattr__(self, "weights", weights)
 
     def __setattr__(self, name, value):

@@ -32,8 +32,9 @@ A row scanned many times is kept in support form: its (index, exponent)
 pairs with a nonzero exponent, paired with a value (_supports).  The
 first-divisor scan (_first_divisor) compares only those pairs, so the
 empty support of the unit monomial divides everything.  colon_residues
-filters its lcms against the support forms of rows, built once per prefix
-step, and groebner finds its first dividing rewrite rule the same way.
+filters its lcms against the support forms of rows, built once per ideal
+(_row_supports keeps those of the last rows it saw), and groebner finds
+its first dividing rewrite rule the same way.
 
 A kernel that needs another one calls its private helper, never the public
 name, so the eight public functions are entered only from outside the module
@@ -178,8 +179,16 @@ def _prefix_residues(rows, prefix):
                 lcms.add(tuple(map(max, a, b)))
     if not lcms:
         return ()
-    entries = _supports(rows, rows)
+    entries = _row_supports(rows)
     return tuple(_minimalize([m for m in lcms if _first_divisor(entries, m) is None]))
+
+
+@lru_cache(maxsize=1)
+def _row_supports(rows):
+    """The support forms of rows, each paired with its row.  The prefix
+    steps of the colons of one ideal run back to back over the same rows,
+    so one entry builds them once per ideal."""
+    return tuple(_supports(rows, rows))
 
 
 def colon_residues(rows, indices):

@@ -56,13 +56,33 @@ class WeightedGrevlexOrder:
         object.__setattr__(self, "weights", ws)
 
     def key(self, m: Mono):
-        """Sort key: larger key means larger monomial in the order.  Every
-        comparison of monomials goes through this key, except the S-pair
-        reduction of groebner._normal_form, which carries the weighted
-        degrees and compares in the same order."""
+        """Sort key: larger key means larger monomial in the order.  Sorts
+        and leads of three or more terms go through this key; two monomials
+        are compared by exceeds, and descending and the S-pair reduction of
+        groebner._normal_form compare weighted degrees and exponent tuples
+        in the same order."""
         if len(m) != len(self.weights):
             raise ValueError(f"arity mismatch: monomial {len(m)} vs order {len(self.weights)}")
         return (sum(map(mul, m, self.weights)), tuple(map(neg, m)))
+
+    def exceeds(self, a: Mono, b: Mono) -> bool:
+        """True iff a is larger than b in the order: a has the larger
+        weighted degree, or an equal one and the smaller exponent tuple."""
+        ws = self.weights
+        if len(a) != len(ws) or len(b) != len(ws):
+            raise ValueError(f"arity mismatch: monomials {len(a)}, {len(b)} vs order {len(ws)}")
+        wa, wb = sum(map(mul, a, ws)), sum(map(mul, b, ws))
+        return wa > wb or (wa == wb and a < b)
+
+
+def descending(monos, weights=None) -> tuple:
+    """monos from largest to smallest in the weighted grevlex order of
+    weights (unit weights when None), which need not be validated: the
+    order of WeightedGrevlexOrder.key, sorted by (-weighted degree,
+    exponents) with no order built."""
+    if weights is None:
+        return tuple(sorted(monos, key=lambda m: (-sum(m), m)))
+    return tuple(sorted(monos, key=lambda m: (-sum(map(mul, m, weights)), m)))
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")

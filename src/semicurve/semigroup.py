@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from semicurve.errors import InternalCheckError
 from semicurve.monomials import WeightedGrevlexOrder
@@ -138,8 +138,13 @@ class CurveInstance:
     def arity(self):
         return self.n + 1
 
-    def order(self):
+    @cached_property
+    def _order(self):
         return WeightedGrevlexOrder(self.weights)
+
+    def order(self):
+        """The weighted grevlex order of the weights, built once per instance."""
+        return self._order
 
     def text(self):
         return ",".join(str(m) for m in self.arith) + f";{self.extra}"

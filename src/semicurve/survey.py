@@ -52,7 +52,7 @@ from semicurve.curve import (
 from semicurve.errors import UserInputError
 from semicurve.groebner import Polynomial, gb_verify, leading_ideal
 from semicurve.ideals import MonomialIdeal
-from semicurve.monomials import format_monomial
+from semicurve.monomials import descending, format_monomial
 from semicurve.ratliff_rush import Verdict, overall_verdict, reduce_variables, run_stage
 from semicurve.semigroup import Case, CurveInstance, derive, validate
 
@@ -181,21 +181,23 @@ class ErrataEntry:
 def compare_selector(instance, in_ideal, table, guard):
     """One published list against the engine, with shared guard bookkeeping."""
     selector = table.selector
-    order = instance.order()
-    literal = tuple(sorted(table.monomials, key=order.key, reverse=True))
+    weights = instance.weights
+    literal = descending(table.monomials, weights)
     lo, hi = _divisor_span(selector, instance)
     if lo > hi:
         return ColonComparison(selector, guard, literal, None, None, None,
                                MatchStatus.SKIPPED,
                                note=f"no divisor variables (p = {instance.p})")
     residues = kernels.colon_residues(in_ideal.gens, range(lo, hi + 1))
-    engine = tuple(sorted(residues, key=order.key, reverse=True))
+    engine = descending(residues, weights)
     sets_equal = set(engine) == set(literal)
-    # Both sides contain the initial ideal, so each needs only the other's
-    # extra generators; the residues lie outside it, so only literal can
-    # divide them.
-    ideal_equal = (kernels.all_divisible(literal, in_ideal.gens + engine)
-                   and kernels.all_divisible(engine, literal))
+    # Equal generator sets generate equal ideals.  Otherwise both sides
+    # contain the initial ideal, so each needs only the other's extra
+    # generators; the residues lie outside it, so only literal can divide
+    # them, and a literal monomial is looked for among the residues first.
+    ideal_equal = sets_equal or (
+        kernels.all_divisible(engine, literal)
+        and kernels.all_divisible(literal, engine + in_ideal.gens))
     if guard.violated:
         match = MatchStatus.SKIPPED
     else:

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semicurve.curve import Binomial, patil_singh_generators
 from semicurve.groebner import Polynomial, gb_verify, leading_ideal
 from semicurve.ideals import MonomialIdeal
-from semicurve.monomials import WeightedGrevlexOrder
+from semicurve.monomials import WeightedGrevlexOrder, descending
 from semicurve.semigroup import CurveInstance, derive
 from semicurve.survey import Bounds, enumerate_instances
 
@@ -50,6 +50,68 @@ def test_polynomial_construction_and_leading_term():
     assert mono == (0, 1, 1, 0) and coef == 1
     assert Polynomial(4, {}).is_zero
     assert Polynomial(4, {(0, 0, 0, 0): Fraction(0)}).is_zero
+
+
+def _tied_pair(weights, base, i, j):
+    """Two distinct monomials of equal weighted degree: base times
+    x_i^(w_j) and base times x_j^(w_i)."""
+    a, b = list(base), list(base)
+    a[i] += weights[j]
+    b[j] += weights[i]
+    return tuple(a), tuple(b)
+
+
+_lead_cases = st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 9), min_size=n, max_size=n),
+    st.lists(st.integers(0, 5), min_size=n, max_size=n),
+    st.lists(st.integers(0, 5), min_size=n, max_size=n),
+    st.integers(0, n - 1), st.integers(0, n - 1), st.booleans()))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_lead_cases)
+def test_exceeds_matches_oracle_key_with_forced_ties(case):
+    weights, base, other, i, j, tie = case
+    key = grevlex_key(weights)
+    if tie and i != j:
+        a, b = _tied_pair(weights, base, i, j)
+        assert key(a)[0] == key(b)[0]
+    else:
+        a, b = tuple(base), tuple(other)
+    order = WeightedGrevlexOrder(tuple(weights))
+    assert order.exceeds(a, b) == (key(a) > key(b))
+    assert order.exceeds(b, a) == (key(b) > key(a))
+    assert list(descending([a, b], weights)) == sorted([a, b], key=key, reverse=True)
+    unit_key = grevlex_key((1,) * len(a))
+    assert list(descending([a, b])) == sorted([a, b], key=unit_key, reverse=True)
+    if a != b:
+        lead = max(a, b, key=key)
+        assert order.exceeds(a, b) != order.exceeds(b, a)
+        assert Polynomial(len(a), {a: 1, b: -1}).leading(order) == (lead, 1 if lead == a else -1)
+
+
+class _KeyOnlyOrder:
+    """An order whose two-monomial comparison must not be consulted."""
+
+    def __init__(self, order):
+        self.key = order.key
+
+    def exceeds(self, a, b):
+        raise AssertionError("a lead of three terms must come from order.key")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_lead_cases)
+def test_leading_of_three_terms_takes_max_by_key(case):
+    weights, base, other, i, j, _ = case
+    if i == j:
+        j = (i + 1) % len(weights)
+    a, b = _tied_pair(weights, base, i, j)
+    terms = {a: 1, b: -1, tuple(other): 3}
+    assume(len(terms) == 3)
+    order = WeightedGrevlexOrder(tuple(weights))
+    lead = max(terms, key=grevlex_key(weights))
+    assert Polynomial(len(a), terms).leading(_KeyOnlyOrder(order)) == (lead, terms[lead])
 
 
 def test_reduce_trivial_cases():

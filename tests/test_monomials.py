@@ -63,6 +63,8 @@ def test_order_validates_weights():
     for m in [(1, 2), (1, 2, 3, 4), ()]:
         with pytest.raises(ValueError, match="arity mismatch"):
             order.key(m)
+        with pytest.raises(ValueError, match="arity mismatch"):
+            order.exceeds(m, (1, 2, 3))
     with pytest.raises(ValueError):
         WeightedGrevlexOrder((5, 0, 3))
     with pytest.raises(ValueError):

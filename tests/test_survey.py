@@ -210,6 +210,22 @@ def test_colon_residues_match_generic_colon_on_corpus(corpus):
         _assert_engine_lists_match_generic_colon(rep)
 
 
+def test_ideal_equal_is_both_containment_scans(corpus):
+    # Equal generator sets are equal ideals without a scan; every verdict,
+    # shortcut or not, must equal the two containments mod the initial ideal.
+    shortcuts = 0
+    for rep in corpus.instances:
+        gens = rep.in_ideal_computed.gens
+        for c in rep.colon:
+            if c.engine is None:
+                assert c.ideal_equal is None
+                continue
+            assert c.ideal_equal == (kernels.all_divisible(c.literal, gens + c.engine)
+                                     and kernels.all_divisible(c.engine, gens + c.literal))
+            shortcuts += c.sets_equal
+    assert shortcuts > 0
+
+
 def test_colon_residues_match_generic_colon_on_wide_sample():
     instances, _ = enumerate_instances(Bounds((3, 4, 5, 6), 45, 45))
     for curve in instances[::40]:
