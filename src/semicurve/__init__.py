@@ -10,7 +10,7 @@ from semicurve.monomials import (
     format_monomial,
     parse_monomial,
 )
-from semicurve.semigroup import CurveInstance, DerivedParams, derive, member, validate
+from semicurve.semigroup import CurveInstance, DerivedParams, derive, validate
 
 __version__ = "1.0.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "WeightedGrevlexOrder",
     "derive",
     "format_monomial",
-    "member",
     "parse_monomial",
     "validate",
     "__version__",

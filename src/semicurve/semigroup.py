@@ -2,92 +2,67 @@
 
 An instance is an arithmetic sequence m0 < m1 < ... < mp together with one
 extra generator mn (n = p+1); the full list generates the numerical
-semigroup the curve is modeled on.  This module provides exact membership,
-the g_t ladder, and the derivation of the structure parameters (u, v, w,
-z, lam, mu, q, r, q_z, r_z, eps) with exhaustive uniqueness verification.
+semigroup the curve is modeled on.  This module provides the check of the
+normal-form hypotheses, the g_t ladder, and the derivation of the
+structure parameters (u, v, w, z, lam, mu, q, r, q_z, r_z, eps) with
+exhaustive uniqueness verification.
 
-Membership of general generator tuples goes through the Apery set
-Ap(S, m) of the least generator m: its entry for residue i is the least
-element of S congruent to i mod m, so x lies in S iff x >= Ap[x mod m].
-The set is built by the round-robin algorithm of Boecker and Liptak
-(Algorithmica 48, 2007) in O(k*m) integer steps for k generators.  A
-residue class that no combination reaches keeps an infinite sentinel.
-Below 2*m the only elements are 0 and the generators themselves, so
-`member` answers such queries without building a set.  `validate` bounds
-every generator by MAX_GENERATOR, which bounds the length of every Apery
-set.
+The arithmetic part A = <m0, m0+d, ..., m0+pd> has a closed-form Apery
+set.  A sum of k of its generators is k*m0 + j*d with 0 <= j <= k*p, so
+the least element of A of the form c*m0 + j*d is the ladder value
+g_j = ceil(j/p)*m0 + j*d.  With G = gcd(m0, d) and M = m0/G, the classes
+j*d mod m0 for j in [0, M) are the M distinct multiples of G, and g_j
+grows with j, so Ap(A, m0) = {g_j : 0 <= j < M}.  Hence x lies in A iff
+G divides x mod m0 and x >= g_j, where j = (x mod m0)/G * (d/G)^-1 mod M.
+Both `derive` and `validate` read A through these residues
+(`_ArithmeticPart`), so neither builds a table.
 
-`derive` builds none: the Apery set of the arithmetic part
-A = <m0, m0+d, ..., m0+pd> is closed-form.  A sum of k of its generators
-is k*m0 + j*d with 0 <= j <= k*p, so the least element of A of the form
-c*m0 + j*d is the ladder value g_j = ceil(j/p)*m0 + j*d.  With
-G = gcd(m0, d) and M = m0/G, the classes j*d mod m0 for j in [0, M) are
-the M distinct multiples of G, and g_j grows with j, so
-Ap(A, m0) = {g_j : 0 <= j < M}.  Hence x lies in A iff G divides
-x mod m0 and x >= g_j, where j = (x mod m0)/G * (d/G)^-1 mod M.
+`validate` decides minimal generation with them.  Let P = m0/gcd(m0, mn).
+- m_i with i >= M is redundant: m_i = m_(i-M) + (d/G)*m0.  Conversely, a
+  sum of k >= 2 generators of A equal to m_i forces (k-1)*m0 = (i-j)*d,
+  so M divides i - j and i >= M.
+- Otherwise m_i is redundant iff mn divides m_i, or m_i - b*mn lies in A
+  for some 1 <= b <= min(P, (m_i - m0)//mn).  A remainder below m_i never
+  uses m_i, a nonzero element of A is at least m0, and P*mn = lcm(m0, mn)
+  lies in A, so a b > P reduces to b - P.
+- mn is redundant iff it lies in A.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from semicurve.errors import InternalCheckError
 from semicurve.monomials import WeightedGrevlexOrder
 
-MAX_GENERATOR = 10 ** 6  # an Apery set is a list as long as the least generator
+MAX_GENERATOR = 10 ** 6  # input budget: each scan of derive and validate runs up to m0 steps
 
 
-class SemigroupMembership:
-    """Apery set of one generator tuple with respect to its least generator.
+class _ArithmeticPart:
+    """The closed-form Apery set of A = <m0, ..., mp> (see the module docstring)."""
 
-    `apery[i]` is the least semigroup element congruent to i modulo
-    `generators[0]`, or `math.inf` when the generators reach no element of
-    that class.  Round robin (Boecker & Liptak 2007): each further generator
-    a splits the residues into gcd(a, m) cycles of step a; each cycle is
-    walked once from its least entry, and every step continues from the
-    smaller of the value carried along and the value already stored.
-    """
+    def __init__(self, arith):
+        self.m0, self.d, self.p = arith[0], arith[1] - arith[0], len(arith) - 1
+        self.G = math.gcd(self.m0, self.d)
+        self.M = self.m0 // self.G
+        self.inv = pow(self.d // self.G, -1, self.M)
 
-    def __init__(self, generators):
-        gens = tuple(sorted({int(g) for g in generators}))
-        if not gens or gens[0] <= 0:
-            raise ValueError("generators must be positive integers")
-        self.generators = gens
-        m = gens[0]
-        apery = [math.inf] * m
-        apery[0] = 0
-        for a in gens[1:]:
-            d = math.gcd(a, m)
-            for start in range(d):
-                n = min(apery[start::d])
-                if n == math.inf:
-                    continue
-                for _ in range(m // d - 1):
-                    n += a
-                    r = n % m
-                    if apery[r] < n:
-                        n = apery[r]
-                    else:
-                        apery[r] = n
-        self.apery = apery
+    def g(self, t):
+        """The ladder value g_t = ceil(t/p)*m0 + t*d."""
+        return -(-t // self.p) * self.m0 + t * self.d
 
-    def member(self, x):
-        return x >= 0 and x >= self.apery[x % len(self.apery)]
+    def rung(self, x):
+        """The j in [0, M) with x = j*d (mod m0), or None when G does not divide x mod m0."""
+        res = x % self.m0
+        if res % self.G:
+            return None
+        return res // self.G * self.inv % self.M
 
-
-@lru_cache(maxsize=64)
-def _membership_table(gens):
-    return SemigroupMembership(gens)
-
-
-def member(generators, x):
-    """True iff x is a nonnegative integer combination of the generators."""
-    gens = tuple(sorted(set(generators)))
-    if gens and gens[0] > 0 and x < 2 * gens[0]:
-        return x == 0 or x in gens
-    return _membership_table(gens).member(x)
+    def __contains__(self, x):
+        j = self.rung(x)
+        return j is not None and x >= self.g(j)
 
 
 def t_decompose(t, arith):
@@ -214,21 +189,15 @@ def derive(instance):
     steps."""
     arith = instance.arith
     m0, mn, p = arith[0], instance.extra, instance.p
-    d = arith[1] - m0
-    G = math.gcd(m0, d)
-    M = m0 // G
-    inv = pow(d // G, -1, M)
+    A = _ArithmeticPart(arith)
+    g = A.g
 
-    def g(t):
-        return -(-t // p) * m0 + t * d
-
-    u = M
+    u = A.M
     for b in range(1, m0 + 1):
         x = b * mn
-        res = x % m0
-        if res % G:
+        j = A.rung(x)
+        if j is None:
             continue
-        j = res // G * inv % M
         if x >= g(j):
             v = b
             break
@@ -296,15 +265,20 @@ def validate(arith, extra):
     if not failures and max(arith[-1], extra) > MAX_GENERATOR:
         failures.append(f"generators must not exceed {MAX_GENERATOR}")
     if not failures:
-        full = arith + (extra,)
-        if math.gcd(*full) != 1:
+        if math.gcd(*arith, extra) != 1:
             failures.append("generators must have gcd 1")
         else:
-            for i, g in enumerate(full):
-                others = full[:i] + full[i + 1:]
-                if member(others, g):
-                    name = f"m{i}" if i < len(arith) else "mn"
-                    failures.append(
-                        f"not minimally generated: {name} = {g} lies in the semigroup of the others")
+            A = _ArithmeticPart(arith)
+            m0 = arith[0]
+            P = m0 // math.gcd(m0, extra)
+            for i, m in enumerate(arith):
+                if i >= A.M or m % extra == 0 or (m - m0 >= extra and any(
+                        m - b * extra in A for b in range(1, min(P, (m - m0) // extra) + 1))):
+                    redundant = (f"m{i}", m)
                     break
+            else:
+                redundant = ("mn", extra) if extra in A else None
+            if redundant:
+                failures.append("not minimally generated: %s = %d lies in the semigroup"
+                                " of the others" % redundant)
     return ValidationReport(ok=not failures, failures=tuple(failures))

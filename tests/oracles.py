@@ -5,6 +5,8 @@ loops and sets, so package outputs can be cross-checked against a second,
 dumber implementation.  No imports from semicurve.
 """
 
+import math
+
 
 def divides(a, b):
     """Componentwise <= on exponent tuples."""
@@ -28,6 +30,21 @@ def members_upto(generators, limit):
                 reachable.add(nxt)
                 frontier.append(nxt)
     return reachable
+
+
+def validation_failures(arith, extra):
+    """Failures of the normal-form check past its shape checks: gcd 1,
+    then each generator in order (m0, ..., mp, mn) against the semigroup
+    of the others.  g is redundant iff g is a combination of the others
+    up to g itself."""
+    full = tuple(arith) + (extra,)
+    if math.gcd(*full) != 1:
+        return ("generators must have gcd 1",)
+    for i, g in enumerate(full):
+        if g in members_upto(full[:i] + full[i + 1:], g):
+            name = f"m{i}" if i < len(arith) else "mn"
+            return (f"not minimally generated: {name} = {g} lies in the semigroup of the others",)
+    return ()
 
 
 def ladder(t, arith):

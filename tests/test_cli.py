@@ -209,6 +209,26 @@ def test_generator_above_limit_exits_1(capsys, command):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("text, code_want", [
+    ("999997,999998;2", 1),
+    ("999999,1000000;999998", 0),
+    (",".join(str(999000 + i) for i in range(21)) + ";999999", 0),
+    ("500000,999999;1000000", 1),
+], ids=["mn-divides-m1", "p1", "p20", "mn-twice-m0"])
+@pytest.mark.parametrize("command", ["validate", "params"])
+def test_generators_near_the_limit_hold_no_generator_sized_list(capsys, command, text, code_want):
+    # Validation and the derived parameters read the closed-form Apery set
+    # of the arithmetic part; a list of 10^6 entries alone takes 8 MB.
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, command, text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == code_want, out + err
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("command", ["rr", "probe"])
 def test_zero_ideal_memory_does_not_grow_with_arity(capsys, command):
     tracemalloc.start()

@@ -5,18 +5,15 @@ import random
 
 import pytest
 
-from semicurve import semigroup
 from semicurve.semigroup import (
-    MAX_GENERATOR,
     Case,
     CurveInstance,
     derive,
-    member,
     t_decompose,
     validate,
 )
 
-from oracles import members_upto, sequence_params
+from oracles import members_upto, sequence_params, validation_failures
 
 W_TEXT = "5,8,11;7"
 W_PARAMS = {"u": 3, "v": 3, "w": 2, "z": 2, "lam": 1, "mu": 2,
@@ -42,37 +39,65 @@ def test_validation_rejections():
     # gcd > 1 over all generators.
     report = validate((4, 6, 8), 2)
     assert not report.ok and report.first
-    # Extra generator redundant in the semigroup of the others.
-    assert not validate((4, 6, 8), 10).ok
     # Non-increasing arithmetic part.
     assert not validate((8, 6, 4), 5).ok
     # Nonpositive entries.
     assert not validate((0, 3, 6), 5).ok
     assert validate((5, 8, 11), 7).ok
+    # The first redundant generator: the extra one (13 = 5 + 8, gcd 1); m2
+    # with M = 2 <= p (4 = 2 + 2); m1 equal to mn; m1 divisible by mn.
+    for text, name, value in (("5,8,11;13", "mn", 13), ("2,3,4;5", "m2", 4),
+                              ("5,8,11;8", "m1", 8), ("999997,999998;2", "m1", 999998)):
+        curve = CurveInstance.parse(text)
+        assert validate(curve.arith, curve.extra).first == (
+            f"not minimally generated: {name} = {value} lies in the semigroup of the others")
 
 
-def test_membership_against_brute_force():
-    for gens in [(5, 8, 11, 7), (3, 7), (4, 6, 9), (6, 7, 8, 9)]:
-        limit = 120
-        table = members_upto(gens, limit)
-        for x in range(limit + 1):
-            assert member(gens, x) == (x in table), (gens, x)
-    assert member((5, 8), 0) and not member((5, 8), -3)
-    # Seeded tuples of 1-5 generators, with duplicates and with a common
-    # factor.  Every Apery element is at most (m - 1) * max(gens), so each
-    # scan runs past the largest one and crosses x = 2 * min(gens).
-    rng = random.Random(5)
-    for _ in range(3000):
-        gens = [rng.randint(1, 24) for _ in range(rng.randint(1, 5))]
-        if rng.random() < 0.2:
-            gens.append(rng.choice(gens))
-        if rng.random() < 0.25:
-            factor = rng.randint(2, 4)
-            gens = [g * factor for g in gens]
-        limit = min(gens) * max(gens) + 3
-        table = members_upto(gens, limit)
-        for x in range(-3, limit + 1):
-            assert member(gens, x) == (x in table), (gens, x)
+def _validation_sample(count, seed):
+    """Seeded candidates in six kinds by turn: M = m0/gcd(m0, d) <= p; mn
+    equal to some m_i; mn = 1; mn > 1 dividing some m_i; gcd(m0, d) > 1;
+    and mn much smaller than m0."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        kind, p = k % 6, rng.randint(1, 8)
+        m0, d = rng.randint(2, 150), rng.randint(1, 40)
+        if kind == 0:
+            G = rng.randint(2, 6)
+            m0, d = G * rng.randint(1, p), G * rng.randint(1, 12)
+        elif kind == 4:
+            G = rng.choice((2, 3, 5, 6))
+            m0, d = G * rng.randint(1, 150 // G), G * rng.randint(1, 40 // G)
+        arith = tuple(m0 + i * d for i in range(p + 1))
+        m = rng.choice(arith)
+        mn = (rng.randint(2, 2 * m0), m, 1, rng.choice([x for x in range(2, m + 1) if m % x == 0]),
+              rng.randint(2, 2 * m0), rng.randint(2, max(2, m0 // 10)))[kind]
+        out.append((arith, mn))
+    return out
+
+
+def test_validation_against_brute_force():
+    # Minimal generation is decided from the closed-form Apery set of the
+    # arithmetic part; the oracle enumerates the semigroup of the others
+    # up to each generator.
+    # Every candidate of Bounds((1, 2, 3), 25, 25), in the enumeration's loops.
+    cands = [(tuple(m0 + i * d for i in range(p + 1)), mn)
+             for p in (1, 2, 3) for m0 in range(1, 26) for d in range(1, (25 - m0) // p + 1)
+             for mn in range(1, 26)]
+    assert len(cands) == 13400
+    sample = _validation_sample(600, seed=18)
+    assert sum(arith[0] // math.gcd(arith[0], arith[1] - arith[0]) <= len(arith) - 1
+               for arith, _ in sample) >= 100
+    assert sum(math.gcd(arith[0], arith[1] - arith[0]) > 1 for arith, _ in sample) >= 200
+    firsts = []
+    for arith, mn in cands + sample:
+        report = validate(arith, mn)
+        assert report.failures == validation_failures(arith, mn), (arith, mn)
+        firsts.append(report.first)
+    # Every outcome occurs: valid, gcd > 1, m0, a later m_i, and mn redundant.
+    assert None in firsts and "generators must have gcd 1" in firsts
+    for name in ("m0", "m1", "m2", "m3", "mn"):
+        assert any(f and f.startswith(f"not minimally generated: {name} =") for f in firsts)
 
 
 def test_ladder_decomposition():
@@ -132,12 +157,7 @@ def _wide_sample(count, seed):
 PARAM_KEYS = ("u", "v", "w", "z", "lam", "mu", "q", "r", "q_z", "r_z", "eps")
 
 
-def test_derived_params_match_independent_oracle(monkeypatch):
-    # u and v come from the closed-form Apery set of the arithmetic part,
-    # so derive must not build a membership table on any instance.
-    def refuse(generators):
-        raise AssertionError(f"derive built an Apery set of {generators}")
-
+def test_derived_params_match_independent_oracle():
     texts = ("5,8,11;7", "4,7,10;13", "5,7,9;8", "7,8,9;11", "6,7,8;9", "21,22,23,24;16")
     wide = _wide_sample(300, seed=16)
     assert sum(math.gcd(c.arith[0], c.arith[1] - c.arith[0]) > 1 for c in wide) >= 200
@@ -146,8 +166,6 @@ def test_derived_params_match_independent_oracle(monkeypatch):
     k = 300
     curves = ([CurveInstance.parse(t) for t in texts] + _valid_instances_beyond_corpus(100, seed=7)
               + wide + [CurveInstance((2 * k, 2 * k + 1), 2 * k - 1)])
-    semigroup._membership_table.cache_clear()
-    monkeypatch.setattr(semigroup, "SemigroupMembership", refuse)
     assert derive(CurveInstance.parse(W_TEXT)).to_dict() == W_PARAMS
     for curve in curves:
         got = derive(curve).to_dict()
