@@ -122,9 +122,7 @@ def cmd_params(args):
     if args.json:
         _emit_json(args, {"instance": curve.text(), **dp.to_dict()})
     else:
-        d = dp.to_dict()
-        keys = ("u", "v", "w", "z", "lam", "mu", "q", "r", "q_z", "r_z", "eps", "case")
-        _write(args, "\n".join(f"{k} = {d[k]}" for k in keys))
+        _write(args, "\n".join(f"{k} = {v}" for k, v in dp.to_dict().items()))
     return 0
 
 
@@ -273,7 +271,7 @@ def cmd_run(args):
 def cmd_survey(args):
     bounds = Bounds(tuple(args.p), args.max_mp, args.max_mn)
     report = survey(bounds, depth=args.depth)
-    fmt = Format.parse(args.format) if args.format else (
+    fmt = Format(args.format) if args.format else (
         Format.JSON if args.json else Format.TEXT)
     data = emit(report, fmt)
     if args.out:

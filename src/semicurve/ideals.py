@@ -49,10 +49,6 @@ class MonomialIdeal:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def unit(cls, arity, weights=None):
-        return cls(arity, [(0,) * arity], weights=weights, _minimal=True)
-
-    @classmethod
     def from_json(cls, text):
         """Inverse of to_json.  A malformed ideal raises UserInputError; the
         constructor rejects negative exponents."""

@@ -22,19 +22,20 @@ power_membership answers m in I^j by peeling one generator of I at a time
 and never forms a power: its answers are memoized on (m, j) for the life of
 the predicate it returns.
 
-colon_residues builds its result one index at a time, and each prefix
-residue is memoized on (rows, prefix) in a bounded LRU cache of
-PREFIX_MEMO_SIZE entries, so the colons of one ideal by nested index
-prefixes share one walk.  A prefix residue depends only on its key, so the
-cache changes no result.
+colon_residues builds its result by a forward walk, one index at a time.
+One cache entry, keyed on the rows of the last ideal seen, keeps the
+residue at the end of each walk taken over those rows, so a colon by an
+index list that extends an earlier one steps on from where that walk
+ended.  A residue depends only on the rows and the walk, so the cache
+changes no result.
 
 A row scanned many times is kept in support form: its (index, exponent)
 pairs with a nonzero exponent, paired with a value (_supports).  The
 first-divisor scan (_first_divisor) compares only those pairs, so the
 empty support of the unit monomial divides everything.  colon_residues
-filters its lcms against the support forms of rows, built once per ideal
-(_row_supports keeps those of the last rows it saw), and groebner finds
-its first dividing rewrite rule the same way.
+filters its lcms against the support forms of rows, kept in the same cache
+entry and built by the first step that has lcms to filter, and groebner
+finds its first dividing rewrite rule the same way.
 
 A kernel that needs another one calls its private helper, never the public
 name, so the eight public functions are entered only from outside the module
@@ -53,11 +54,6 @@ BACKEND = "python"
 # building the index: on the inputs the pipeline passes, the two break even
 # at 11 to 16 rows.
 INDEX_MIN_ROWS = 16
-
-# Colon residues memoized per (rows, index prefix).  An instance of arity k
-# needs k prefixes for its four colons and k for the socle walk of its
-# Ratliff-Rush stage: 8 + 8 at p = 6.
-PREFIX_MEMO_SIZE = 32
 
 
 def _prefix_bits(rows):
@@ -159,15 +155,23 @@ def colon_by_monomial(rows, g):
     return _minimalize(quots)
 
 
-@lru_cache(maxsize=PREFIX_MEMO_SIZE)
-def _prefix_residues(rows, prefix):
-    """R_prefix as a tuple: the single step from R_head, memoized."""
-    head, i = prefix[:-1], prefix[-1]
+@lru_cache(maxsize=1)
+def _walks(rows):
+    """The cache entry of one ideal: the residue at the end of each walk
+    taken over rows, keyed on the walk and seeded with the empty walk, and
+    the support forms of rows, each paired with its row, once a step has
+    built them.  The colons of one ideal run back to back over the same
+    rows, so one entry serves them all."""
+    return {(): ()}, []
+
+
+def _step(rows, head, residues, i, entries):
+    """R_(head + (i,)) from residues = R_head, as a list."""
     single = [g[:i] + (g[i] - 1,) + g[i + 1:] for g in rows if g[i]]
     if not head:
-        return tuple(single)
+        return single
     lcms = set()
-    for a in _prefix_residues(rows, head):
+    for a in residues:
         ai = a[i]
         for b in single:
             if ai > b[i]:
@@ -178,17 +182,10 @@ def _prefix_residues(rows, prefix):
             else:
                 lcms.add(tuple(map(max, a, b)))
     if not lcms:
-        return ()
-    entries = _row_supports(rows)
-    return tuple(_minimalize([m for m in lcms if _first_divisor(entries, m) is None]))
-
-
-@lru_cache(maxsize=1)
-def _row_supports(rows):
-    """The support forms of rows, each paired with its row.  The prefix
-    steps of the colons of one ideal run back to back over the same rows,
-    so one entry builds them once per ideal."""
-    return tuple(_supports(rows, rows))
+        return []
+    if not entries:
+        entries.extend(_supports(rows, rows))
+    return _minimalize([m for m in lcms if _first_divisor(entries, m) is None])
 
 
 def colon_residues(rows, indices):
@@ -203,22 +200,25 @@ def colon_residues(rows, indices):
     I) or when a_i > b_i (then it is a multiple of b + x_i = g); only the
     surviving lcms are scanned against rows.  Returned in no fixed order.
 
-    Each R_P is memoized on (rows, P) in a cache of PREFIX_MEMO_SIZE
-    entries, so colons by nested prefixes of one index walk over the same
-    rows build each prefix once: (x_1..x_(p-1)), (x_1..x_p) and
-    (x_1..x_n) share their heads.  R_P depends only on rows and P, and
-    each call returns a fresh list.
+    The walk starts from the longest prefix of indices at which an earlier
+    walk over the same rows ended, and only its own end is kept, so
+    colons by nested prefixes of one index walk build each step once:
+    (x_1..x_(p-1)), (x_1..x_p) and (x_1..x_n) share their heads.  Each
+    call returns a fresh list.
     """
     indices = tuple(dict.fromkeys(indices))
     if not indices:
         raise ValueError("colon by the zero ideal is undefined")
     rows = tuple(rows)
-    # Walks longer than the cache are built from the bottom in steps, so
-    # the recursion stays shallow and each step finds its head cached.
-    step = PREFIX_MEMO_SIZE // 2
-    for k in range(step, len(indices), step):
-        _prefix_residues(rows, indices[:k])
-    return list(_prefix_residues(rows, indices))
+    ends, entries = _walks(rows)
+    k = len(indices)
+    while indices[:k] not in ends:
+        k -= 1
+    residues = ends[indices[:k]]
+    for n in range(k, len(indices)):
+        residues = _step(rows, indices[:n], residues, indices[n], entries)
+    ends[indices] = residues
+    return list(residues)
 
 
 def power_membership(gens):

@@ -34,15 +34,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(add, a, b))
 
 
-def variable(arity: int, index: int) -> Mono:
-    """The monomial x_index."""
-    if not 0 <= index < arity:
-        raise ValueError(f"variable index {index} outside arity {arity}")
-    e = [0] * arity
-    e[index] = 1
-    return tuple(e)
-
-
 @dataclass(frozen=True)
 class WeightedGrevlexOrder:
     """Degree-compatible total order with positive integer weights."""

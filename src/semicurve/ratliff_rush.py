@@ -41,7 +41,7 @@ from operator import add
 from semicurve import kernels
 from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
-from semicurve.monomials import mono_mul, unit
+from semicurve.monomials import descending, mono_mul, unit
 
 
 class Verdict(Enum):
@@ -127,7 +127,7 @@ def socle_complement(ideal):
         raise UserInputError(
             f"ideal is not primary to the maximal ideal: no pure power of x{missing}")
     residues = kernels.colon_residues(ideal.gens, range(ideal.arity))
-    return MonomialIdeal(ideal.arity, residues, weights=ideal.weights, _minimal=True).gens
+    return descending(residues, ideal.weights)
 
 
 def scaled_in_power(mono, rows_k, rows_k1):

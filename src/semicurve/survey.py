@@ -487,13 +487,6 @@ class Format(enum.Enum):
     CSV = "csv"
     TEXT = "text"
 
-    @classmethod
-    def parse(cls, name):
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise UserInputError(f"unknown format {name!r}; use json, csv, or text") from None
-
 
 CSV_HEADER = ("instance", "case", "gb_passed", "in_ideal", "colon_x1_to_pm1",
               "colon_x1_to_p", "colon_xn", "socle_rho_chi", "rr_verdict",
@@ -517,9 +510,7 @@ def _csv_row(rep):
 
 
 def _params_line(dp):
-    d = dp.to_dict()
-    keys = ("u", "v", "w", "z", "lam", "mu", "q", "r", "q_z", "r_z", "eps")
-    return " ".join(f"{k}={d[k]}" for k in keys) + f" case={d['case']}"
+    return " ".join(f"{k}={v}" for k, v in dp.to_dict().items())
 
 
 def _text_lines(report):

@@ -34,7 +34,7 @@ def test_minimalize_idempotent_and_order_free():
 
 def test_zero_and_unit():
     zero = MonomialIdeal(2, [])
-    one = MonomialIdeal.unit(2)
+    one = MonomialIdeal(2, [(0,) * 2])
     assert zero.is_zero and not zero.is_unit
     assert one.is_unit and not one.is_zero
     assert (1, 5) in one and (1, 5) not in zero
@@ -71,7 +71,7 @@ def test_colon_by_zero_and_unit():
     i = _ideal([(2, 0)])
     with pytest.raises(ValueError):
         i.colon(MonomialIdeal(2, []))
-    assert i.colon(MonomialIdeal.unit(2)) == i
+    assert i.colon(MonomialIdeal(2, [(0,) * 2])) == i
 
 
 def test_json_roundtrip():

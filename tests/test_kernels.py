@@ -2,7 +2,7 @@
 selection, the index's memory, membership in powers, empty inputs,
 exact large exponents, lcms and single-monomial colons against the
 oracles, and colon residues against the generic colon (on sparse rows in
-6-8 variables too) and against themselves with a cold prefix memo."""
+6-8 variables too) and against themselves with a cold walk cache."""
 import random
 import time
 import tracemalloc
@@ -11,7 +11,6 @@ import pytest
 
 from semicurve import kernels
 from semicurve.ideals import MonomialIdeal
-from semicurve.monomials import variable
 
 import oracles
 
@@ -155,7 +154,8 @@ def test_empty_inputs():
 
 def _colon_outside(ideal, indices):
     """The oracle: generators of the generic colon that lie outside the ideal."""
-    divisor = MonomialIdeal(ideal.arity, [variable(ideal.arity, i) for i in indices])
+    divisor = MonomialIdeal(ideal.arity, [tuple(int(j == i) for j in range(ideal.arity))
+                                          for i in indices])
     return {g for g in ideal.colon(divisor).gens if g not in ideal}
 
 
@@ -259,12 +259,12 @@ def test_colon_residues_memo_is_invisible():
         spans = _memo_spans(arity)
         cold = []
         for span in spans:
-            kernels._prefix_residues.cache_clear()
+            kernels._walks.cache_clear()
             cold.append(kernels.colon_residues(rows, span))
         orders = [list(range(len(spans))), list(range(len(spans)))[::-1]]
         orders.append(rng.choices(range(len(spans)), k=2 * len(spans)))
         for order in orders:
-            kernels._prefix_residues.cache_clear()
+            kernels._walks.cache_clear()
             for k in order:
                 got = kernels.colon_residues(list(rows), spans[k])
                 assert got == cold[k], (rows, spans[k])
@@ -274,11 +274,18 @@ def test_colon_residues_memo_is_invisible():
 
 
 def test_colon_residues_long_walk():
-    # A walk far longer than the memo is built from the bottom in steps,
-    # so its depth is not bounded by the recursion limit.
+    # The walk is a loop, so its length is bounded neither by the recursion
+    # limit nor by a cache size, and no step rehashes the rows: the 1,200
+    # squares keep a nonempty residue at every step, deeper than the
+    # recursion limit of 1,000.
     n = 2000
     assert kernels.colon_residues([(1,) * n], range(n)) == []
     n = 90
     squares = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
     assert kernels.colon_residues(squares, range(n)) == [(1,) * n]
     assert kernels.colon_residues(squares, range(n - 1, -1, -1)) == [(1,) * n]
+    n = 1200
+    squares = [tuple(2 if j == i else 0 for j in range(n)) for i in range(n)]
+    t0 = time.perf_counter()
+    assert kernels.colon_residues(squares, range(n)) == [(1,) * n]
+    assert time.perf_counter() - t0 < 10

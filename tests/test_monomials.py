@@ -9,7 +9,6 @@ from semicurve.monomials import (
     mono_mul,
     parse_monomial,
     unit,
-    variable,
     weighted_degree,
 )
 
@@ -19,13 +18,6 @@ def test_basic_arithmetic():
     assert mono_mul(a, b) == (1, 3, 3)
     assert mono_mul(unit(3), a) == a
     assert weighted_degree(a, (5, 8, 11)) == 21
-
-
-def test_variable_constructor():
-    assert variable(4, 2) == (0, 0, 1, 0)
-    assert variable(3, 0) == (1, 0, 0)
-    with pytest.raises(ValueError):
-        variable(3, 3)
 
 
 def test_format_parse_roundtrip():

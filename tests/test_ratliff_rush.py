@@ -151,7 +151,7 @@ def test_certify_witness_needs_both_engines(monkeypatch):
             certify_witness(NEGATIVE_CONTROL, (1, 1), 1, powers)
     with monkeypatch.context() as patch:
         patch.setattr(MonomialIdeal, "colon",
-                      lambda self, other: MonomialIdeal.unit(self.arity))
+                      lambda self, other: MonomialIdeal(self.arity, [(0,) * self.arity]))
         with pytest.raises(InternalCheckError, match="product check"):
             certify_witness(NEGATIVE_CONTROL, (1, 1), 1, powers)
 

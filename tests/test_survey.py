@@ -232,11 +232,17 @@ def test_colon_residues_match_generic_colon_on_wide_sample():
         _assert_engine_lists_match_generic_colon(front_half(curve))
 
 
-def test_selectors_share_one_prefix_walk():
-    # p = 3, n = 4: the spans (1..2), (1..3), (4) and (1..4) need the
-    # prefixes (1), (1,2), (1,2,3), (4) and (1,2,3,4) once each; the walk
-    # to 3 finds (1,2) cached and the walk to 4 finds (1,2,3).
-    kernels._prefix_residues.cache_clear()
+def test_selectors_share_one_prefix_walk(monkeypatch):
+    # p = 3, n = 4: the spans (1..2), (1..3), (4) and (1..4) take five steps,
+    # by the indices 1, 2, 3, 4 and 4: the walk to 3 steps on from the end
+    # of the walk to 2, and the walk to 4 from the end of that to 3.
+    steps = []
+    step = kernels._step
+
+    def counted(rows, head, residues, i, entries):
+        steps.append(i)
+        return step(rows, head, residues, i, entries)
+    monkeypatch.setattr(kernels, "_step", counted)
+    kernels._walks.cache_clear()
     front_half(CurveInstance.parse("21,22,23,24;16"))
-    info = kernels._prefix_residues.cache_info()
-    assert (info.misses, info.hits) == (5, 2)
+    assert steps == [1, 2, 3, 4, 4]
