@@ -90,13 +90,19 @@ def _parse_ideal(text):
     return ideal, None
 
 
-def _write(args, text):
-    data = text if text.endswith("\n") else text + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(args, data):
+    """Write text, newline-terminated, or bytes to --out or stdout."""
+    if isinstance(data, str):
+        data = (data if data.endswith("\n") else data + "\n").encode("utf-8")
+    if not args.out:
+        sys.stdout.buffer.write(data)
+        sys.stdout.flush()
+        return
+    try:
+        with open(args.out, "wb") as fh:
             fh.write(data)
-    else:
-        sys.stdout.write(data)
+    except OSError as exc:
+        raise UserInputError(f"cannot write {args.out!r}: {exc.strerror}") from None
 
 
 def _emit_json(args, payload):
@@ -273,13 +279,7 @@ def cmd_survey(args):
     report = survey(bounds, depth=args.depth)
     fmt = Format(args.format) if args.format else (
         Format.JSON if args.json else Format.TEXT)
-    data = emit(report, fmt)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.flush()
+    _write(args, emit(report, fmt))
     return 0 if report.ok else 3
 
 

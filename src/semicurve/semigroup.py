@@ -4,8 +4,8 @@ An instance is an arithmetic sequence m0 < m1 < ... < mp together with one
 extra generator mn (n = p+1); the full list generates the numerical
 semigroup the curve is modeled on.  This module provides the check of the
 normal-form hypotheses, the g_t ladder, and the derivation of the
-structure parameters (u, v, w, z, lam, mu, q, r, q_z, r_z, eps) with
-exhaustive uniqueness verification.
+structure parameters (u, v, w, z, lam, mu, q, r, q_z, r_z, eps) from
+residues against the arithmetic part.
 
 The arithmetic part A = <m0, m0+d, ..., m0+pd> has a closed-form Apery
 set.  A sum of k of its generators is k*m0 + j*d with 0 <= j <= k*p, so
@@ -37,7 +37,7 @@ from functools import cached_property
 from semicurve.errors import InternalCheckError
 from semicurve.monomials import WeightedGrevlexOrder
 
-MAX_GENERATOR = 10 ** 6  # input budget: each scan of derive and validate runs up to m0 steps
+MAX_GENERATOR = 10 ** 6  # input budget: the b loops of derive and validate run up to m0 steps
 
 
 class _ArithmeticPart:
@@ -50,8 +50,13 @@ class _ArithmeticPart:
         self.inv = pow(self.d // self.G, -1, self.M)
 
     def g(self, t):
-        """The ladder value g_t = ceil(t/p)*m0 + t*d."""
+        """The ladder value g_t = ceil(t/p)*m0 + t*d = q*mp + m_r, (q, r) = split(t)."""
         return -(-t // self.p) * self.m0 + t * self.d
+
+    def split(self, t):
+        """(q, r) with t = q*p + r and r in [1, p]; t = 0 gives (-1, p)."""
+        q = -(-t // self.p) - 1
+        return q, t - q * self.p
 
     def rung(self, x):
         """The j in [0, M) with x = j*d (mod m0), or None when G does not divide x mod m0."""
@@ -63,21 +68,6 @@ class _ArithmeticPart:
     def __contains__(self, x):
         j = self.rung(x)
         return j is not None and x >= self.g(j)
-
-
-def t_decompose(t, arith):
-    """Split t >= 0 as q*p + r with r in [1, p] and return (q, r, g) where
-    g = q*m_p + m_r against the arithmetic part.  t = 0 yields q = -1,
-    r = p, g = 0."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    p = len(arith) - 1
-    if p < 1:
-        raise ValueError("arithmetic part needs at least two entries")
-    q = -(-t // p) - 1
-    r = t - q * p
-    g = q * arith[p] + arith[r]
-    return q, r, g
 
 
 class Case(enum.Enum):
@@ -143,9 +133,9 @@ class DerivedParams:
     elements whose predecessor by m0 falls outside the semigroup; v the
     least multiple of the extra generator landing in the semigroup of the
     arithmetic part.  (w, lam) and (z, mu) are the unique solutions of
-    g_u = lam*m0 + w*mn and v*mn = mu*m0 + g_z over their stated ranges;
-    (q, r) and (q_z, r_z) are the ladder splits of u and z.  eps is 1 when
-    r <= r_z.  CASE2 means eps = q_z = 0.
+    g_u = lam*m0 + w*mn with w in [0, v), lam >= 1 and of v*mn = mu*m0 + g_z
+    with z in [0, u), mu >= 0; (q, r) and (q_z, r_z) are the ladder splits
+    of u and z.  eps is 1 when r <= r_z.  CASE2 means eps = q_z = 0.
     """
 
     u: int
@@ -169,12 +159,12 @@ class DerivedParams:
 
 
 def derive(instance):
-    """Derive all structure parameters, verifying uniqueness and the
-    cross identity exactly.  Raises InternalCheckError if a uniqueness or
-    identity check fails, which signals either a bug or an invalid
+    """Derive all structure parameters and verify the cross identity
+    exactly.  Raises InternalCheckError if a parameter falls outside its
+    range or the identity fails, which signals either a bug or an invalid
     instance that slipped past validation.
 
-    u and v come from residues of the arithmetic part A = <m0, ..., mp>,
+    All of them come from residues of the arithmetic part A = <m0, ..., mp>,
     whose Apery set is closed-form (see the module docstring).  v is the
     least b >= 1 with b*mn in A; b = m0 always qualifies.  Every g_t lies
     in A, so it falls outside S exactly when g_t - m0 lies in
@@ -186,7 +176,13 @@ def derive(instance):
     g_(t-j+M), exceeds g_t), and for j <= t < M the test reads
     g_t - g_(t-j) >= m0 + b*mn, whose left side has period p in t: only
     t in [j, j + p) can be least.  So u = min(M, those t), in O(v*p)
-    steps."""
+    steps.
+
+    g_z = z*d (mod m0), so v*mn = mu*m0 + g_z forces z = rung(v*mn)
+    (mod M); as z < u <= M, z is that rung, and mu >= 0 as v*mn lies in A.
+    With Gn = gcd(m0, mn) and P = m0/Gn, g_u = lam*m0 + w*mn forces
+    w = (g_u/Gn) * (mn/Gn)^-1 (mod P), unique in [0, v) as v <= P
+    (P*mn = lcm(m0, mn) lies in A)."""
     arith = instance.arith
     m0, mn, p = arith[0], instance.extra, instance.p
     A = _ArithmeticPart(arith)
@@ -199,33 +195,26 @@ def derive(instance):
         if j is None:
             continue
         if x >= g(j):
-            v = b
+            v, z = b, j
             break
         for t in range(j, min(j + p, u)):
             if g(t) - g(t - j) >= m0 + x:
                 u = t
                 break
 
-    q, r, g_u = t_decompose(u, arith)
+    Gn = math.gcd(m0, mn)
+    P = m0 // Gn
+    w = g(u) // Gn * pow(mn // Gn, -1, P) % P
+    lam, rem = divmod(g(u) - w * mn, m0)
+    mu = (v * mn - g(z)) // m0
+    if rem or w >= v or lam < 1 or z >= u:
+        raise InternalCheckError(f"(w, lam) or (z, mu) out of range for {instance.text()}: "
+                                 f"u={u}, v={v}, w={w}, lam={lam}, z={z}")
+    q, r = A.split(u)
+    q_z, r_z = A.split(z)
 
-    sols = [(w, (g_u - w * mn) // m0) for w in range(v)
-            if g_u - w * mn >= m0 and (g_u - w * mn) % m0 == 0]
-    if len(sols) != 1:
-        raise InternalCheckError(f"(w, lam) solutions for {instance.text()}: {sols}")
-    w, lam = sols[0]
-
-    sols = []
-    for z in range(u):
-        q_z, r_z, g_z = t_decompose(z, arith)
-        rem = v * mn - g_z
-        if rem >= 0 and rem % m0 == 0:
-            sols.append((z, rem // m0, q_z, r_z))
-    if len(sols) != 1:
-        raise InternalCheckError(f"(z, mu) solutions for {instance.text()}: {sols}")
-    z, mu, q_z, r_z = sols[0]
-
-    _, r_uz, g_uz = t_decompose(u - z, arith)
-    lhs = g_uz + (v - w) * mn
+    r_uz = A.split(u - z)[1]
+    lhs = g(u - z) + (v - w) * mn
     rhs = (lam + mu + 1) * m0 if r_uz < r else (lam + mu) * m0
     if lhs != rhs:
         raise InternalCheckError(f"cross identity failed for {instance.text()}: {lhs} != {rhs}")

@@ -16,11 +16,11 @@ from semicurve.ratliff_rush import (
     rr_chain,
     socle_probe,
 )
-from semicurve.semigroup import CurveInstance, derive, t_decompose
+from semicurve.semigroup import CurveInstance, derive
 from semicurve.survey import GuardStatus, MatchStatus
 
 from conftest import ACCEPTANCE_DEPTH, record_acceptance
-from oracles import in_ideal, intersect, product_gens, radical, sequence_params
+from oracles import in_ideal, intersect, ladder, product_gens, radical, sequence_params
 
 SEED = 20260823
 
@@ -235,7 +235,7 @@ def test_criterion_8_parameter_uniqueness_and_identity(corpus):
             assert oracle["z_mu_solutions"][0] == (dp.z, dp.mu)
 
             m0, mn = curve.arith[0], curve.extra
-            _, r_uz, g_uz = t_decompose(dp.u - dp.z, curve.arith)
+            _, r_uz, g_uz = ladder(dp.u - dp.z, curve.arith)
             left = g_uz + (dp.v - dp.w) * mn
             factor = dp.lam + dp.mu + 1 if r_uz < dp.r else dp.lam + dp.mu
             assert left == factor * m0, curve.text()

@@ -173,9 +173,9 @@ def test_large_exponents_stay_cheap(capsys, command, payload):
 
 
 def test_large_instance_params_stay_cheap(capsys):
-    # derive reads u and v off the closed-form Apery set of the arithmetic
-    # part, in O(1) per multiple of mn up to v = 10001, and builds no
-    # membership table; the (z, mu) scan walks u = 10000 rungs.
+    # derive reads every parameter off the closed-form Apery set of the
+    # arithmetic part, in O(1) per multiple of mn up to v = 10001, and
+    # builds no membership table.
     code, out, err = run(capsys, "params", "--json", "20000,20001;19999")
     assert code == 0 and err == ""
     assert json.loads(out) == {
@@ -193,6 +193,17 @@ def test_wide_instance_near_the_generator_limit_params(capsys):
     assert json.loads(out) == {
         "instance": text, "u": 999, "v": 1000, "w": 1, "z": 0, "lam": 49, "mu": 1001,
         "q": 49, "r": 19, "q_z": -1, "r_z": 20, "eps": 1, "case": "CASE1"}
+
+
+def test_small_v_large_u_params(capsys):
+    # v = 2 while u = 333334: z and mu come from the rung that ends the
+    # search for v, with no walk over [0, u).
+    text = "666666,666667;1000000"
+    code, out, err = run(capsys, "params", "--json", text)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "instance": text, "u": 333334, "v": 2, "w": 1, "z": 2, "lam": 333333, "mu": 1,
+        "q": 333333, "r": 1, "q_z": 1, "r_z": 1, "eps": 1, "case": "CASE1"}
 
 
 @pytest.mark.parametrize("command", ["validate", "params", "gens", "run"])
@@ -214,7 +225,8 @@ def test_generator_above_limit_exits_1(capsys, command):
     ("999999,1000000;999998", 0),
     (",".join(str(999000 + i) for i in range(21)) + ";999999", 0),
     ("500000,999999;1000000", 1),
-], ids=["mn-divides-m1", "p1", "p20", "mn-twice-m0"])
+    ("666666,666667;1000000", 0),
+], ids=["mn-divides-m1", "p1", "p20", "mn-twice-m0", "v2-u333334"])
 @pytest.mark.parametrize("command", ["validate", "params"])
 def test_generators_near_the_limit_hold_no_generator_sized_list(capsys, command, text, code_want):
     # Validation and the derived parameters read the closed-form Apery set
@@ -272,6 +284,18 @@ def test_out_file_for_instance_command(tmp_path, capsys):
     code, _, _ = run(capsys, "params", "--json", "--out", str(target), W)
     assert code == 0
     assert json.loads(target.read_text())["case"] == "CASE1"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("params", W), id="params"),
+    pytest.param(("survey", "--p", "1", "--max-mp", "4", "--max-mn", "4", "--depth", "1"),
+                 id="survey"),
+])
+def test_unwritable_out_exits_1(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and str(target) in err
 
 
 @pytest.mark.parametrize("text", [

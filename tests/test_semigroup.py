@@ -8,12 +8,12 @@ import pytest
 from semicurve.semigroup import (
     Case,
     CurveInstance,
+    _ArithmeticPart,
     derive,
-    t_decompose,
     validate,
 )
 
-from oracles import members_upto, sequence_params, validation_failures
+from oracles import ladder, members_upto, sequence_params, validation_failures
 
 W_TEXT = "5,8,11;7"
 W_PARAMS = {"u": 3, "v": 3, "w": 2, "z": 2, "lam": 1, "mu": 2,
@@ -101,13 +101,9 @@ def test_validation_against_brute_force():
 
 
 def test_ladder_decomposition():
-    arith = (5, 8, 11)  # p = 2
-    assert t_decompose(0, arith) == (-1, 2, 0)
-    assert t_decompose(1, arith) == (0, 1, 8)
-    assert t_decompose(2, arith) == (0, 2, 11)
-    assert t_decompose(3, arith) == (1, 1, 19)
-    with pytest.raises(ValueError):
-        t_decompose(-1, arith)
+    A = _ArithmeticPart((5, 8, 11))  # p = 2
+    assert [(*A.split(t), A.g(t)) for t in range(4)] == [
+        (-1, 2, 0), (0, 1, 8), (0, 2, 11), (1, 1, 19)]
 
 
 def test_worked_instance_params_exact():
@@ -163,10 +159,7 @@ def test_derived_params_match_independent_oracle():
     assert sum(math.gcd(c.arith[0], c.arith[1] - c.arith[0]) > 1 for c in wide) >= 200
     assert sum((c.arith[1] - c.arith[0]) % c.arith[0] == 0 for c in wide) == 100
     assert max(c.p for c in wide) == 12 and max(c.arith[0] for c in wide) > 550
-    k = 300
-    curves = ([CurveInstance.parse(t) for t in texts] + _valid_instances_beyond_corpus(100, seed=7)
-              + wide + [CurveInstance((2 * k, 2 * k + 1), 2 * k - 1)])
-    assert derive(CurveInstance.parse(W_TEXT)).to_dict() == W_PARAMS
+    curves = [CurveInstance.parse(t) for t in texts] + _valid_instances_beyond_corpus(100, seed=7) + wide
     for curve in curves:
         got = derive(curve).to_dict()
         want = sequence_params(curve.arith, curve.extra)
@@ -189,6 +182,19 @@ def test_large_family_pattern_against_oracle():
     assert derive(curve).to_dict() == dict(pattern, case="CASE1")
 
 
+def test_small_v_large_u_family_against_oracle():
+    # The family (2j, 2j+1; 3j+1) has v = 2 whatever u = j + 1; test_cli
+    # checks it at j = 333333.
+    for j in range(2, 31):
+        curve = CurveInstance((2 * j, 2 * j + 1), 3 * j + 1)
+        pattern = {"u": j + 1, "v": 2, "w": 1, "z": 2, "lam": j, "mu": 1,
+                   "q": j, "r": 1, "q_z": 1, "r_z": 1, "eps": 1}
+        want = sequence_params(curve.arith, curve.extra)
+        assert len(want["w_lam_solutions"]) == 1 and len(want["z_mu_solutions"]) == 1
+        assert {key: want[key] for key in pattern} == pattern, j
+        assert derive(curve).to_dict() == dict(pattern, case="CASE1"), j
+
+
 def test_case_split():
     assert derive(CurveInstance.parse("5,8,11;7")).case is Case.CASE1
     # eps = 0 and q_z = 0 together flip the case.
@@ -201,7 +207,7 @@ def test_u_matches_definition_of_S():
     # the semigroup; u is the first rung of the g_t ladder outside S.
     for curve in [CurveInstance.parse(W_TEXT)] + _wide_sample(300, seed=16):
         m0, u = curve.arith[0], derive(curve).u
-        ladder = [t_decompose(t, curve.arith)[2] for t in range(u + 1)]
-        gamma = members_upto(curve.weights, ladder[-1])
-        in_S = [g in gamma and g - m0 not in gamma for g in ladder]
+        rungs = [ladder(t, curve.arith)[2] for t in range(u + 1)]
+        gamma = members_upto(curve.weights, rungs[-1])
+        in_S = [g in gamma and g - m0 not in gamma for g in rungs]
         assert all(in_S[:u]) and not in_S[u], curve.text()
