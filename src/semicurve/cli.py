@@ -276,6 +276,7 @@ def cmd_run(args):
 
 def cmd_survey(args):
     bounds = Bounds(tuple(args.p), args.max_mp, args.max_mn)
+    _write(args, b"")  # an unwritable --out fails before the survey runs
     report = survey(bounds, depth=args.depth)
     fmt = Format(args.format) if args.format else (
         Format.JSON if args.json else Format.TEXT)

@@ -8,12 +8,14 @@ The monomial order is graded reverse lexicographic for the variable order
 x0 < x1 < ... < x(n) under the grading wt(xi) = weights[i]: weighted
 degrees compare first, and on ties the monomial with the strictly smaller
 exponent at the lowest-indexed differing variable is the larger one.
+WeightedGrevlexOrder.exceeds compares two monomials, which is all the
+front half asks of an order, and descending sorts many; there is no key.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add, mul, neg
+from operator import add, mul
 
 Mono = tuple  # exponent tuple; alias for readability in signatures
 
@@ -46,16 +48,6 @@ class WeightedGrevlexOrder:
             raise ValueError("weights must be a nonempty sequence of positive integers")
         object.__setattr__(self, "weights", ws)
 
-    def key(self, m: Mono):
-        """Sort key: larger key means larger monomial in the order.  Sorts
-        and leads of three or more terms go through this key; two monomials
-        are compared by exceeds, and descending and the S-pair reduction of
-        groebner._normal_form compare weighted degrees and exponent tuples
-        in the same order."""
-        if len(m) != len(self.weights):
-            raise ValueError(f"arity mismatch: monomial {len(m)} vs order {len(self.weights)}")
-        return (sum(map(mul, m, self.weights)), tuple(map(neg, m)))
-
     def exceeds(self, a: Mono, b: Mono) -> bool:
         """True iff a is larger than b in the order: a has the larger
         weighted degree, or an equal one and the smaller exponent tuple."""
@@ -69,7 +61,7 @@ class WeightedGrevlexOrder:
 def descending(monos, weights=None) -> tuple:
     """monos from largest to smallest in the weighted grevlex order of
     weights (unit weights when None), which need not be validated: the
-    order of WeightedGrevlexOrder.key, sorted by (-weighted degree,
+    order of WeightedGrevlexOrder.exceeds, sorted by (-weighted degree,
     exponents) with no order built."""
     if weights is None:
         return tuple(sorted(monos, key=lambda m: (-sum(m), m)))

@@ -251,23 +251,30 @@ def validate(arith, extra):
             d = arith[1] - arith[0]
             if any(b - a != d for a, b in zip(arith, arith[1:])):
                 failures.append("arithmetic part must have a constant common difference")
-    if not failures and max(arith[-1], extra) > MAX_GENERATOR:
-        failures.append(f"generators must not exceed {MAX_GENERATOR}")
-    if not failures:
-        if math.gcd(*arith, extra) != 1:
-            failures.append("generators must have gcd 1")
-        else:
-            A = _ArithmeticPart(arith)
-            m0 = arith[0]
-            P = m0 // math.gcd(m0, extra)
-            for i, m in enumerate(arith):
-                if i >= A.M or m % extra == 0 or (m - m0 >= extra and any(
-                        m - b * extra in A for b in range(1, min(P, (m - m0) // extra) + 1))):
-                    redundant = (f"m{i}", m)
-                    break
-            else:
-                redundant = ("mn", extra) if extra in A else None
-            if redundant:
-                failures.append("not minimally generated: %s = %d lies in the semigroup"
-                                " of the others" % redundant)
+    if not failures and (failure := _generation_failure(arith, extra)):
+        failures.append(failure)
     return ValidationReport(ok=not failures, failures=tuple(failures))
+
+
+def _generation_failure(arith, extra):
+    """validate's check past its shape checks, for an increasing arithmetic
+    progression arith of at least two positive ints and a positive extra:
+    the first failure of the generator budget, gcd 1 and minimal
+    generation, or None."""
+    if max(arith[-1], extra) > MAX_GENERATOR:
+        return f"generators must not exceed {MAX_GENERATOR}"
+    if math.gcd(*arith, extra) != 1:
+        return "generators must have gcd 1"
+    A = _ArithmeticPart(arith)
+    m0 = arith[0]
+    P = m0 // math.gcd(m0, extra)
+    for i, m in enumerate(arith):
+        if i >= A.M or m % extra == 0 or (m - m0 >= extra and any(
+                m - b * extra in A for b in range(1, min(P, (m - m0) // extra) + 1))):
+            redundant = (f"m{i}", m)
+            break
+    else:
+        if extra not in A:
+            return None
+        redundant = ("mn", extra)
+    return "not minimally generated: %s = %d lies in the semigroup of the others" % redundant

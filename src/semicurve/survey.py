@@ -54,7 +54,7 @@ from semicurve.groebner import Polynomial, gb_verify, leading_ideal
 from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import descending, format_monomial
 from semicurve.ratliff_rush import Verdict, overall_verdict, reduce_variables, run_stage
-from semicurve.semigroup import Case, CurveInstance, derive, validate
+from semicurve.semigroup import Case, CurveInstance, _generation_failure, derive, validate
 
 
 class MatchStatus(enum.Enum):
@@ -370,14 +370,16 @@ class Bounds:
 
 def enumerate_instances(bounds):
     """Validated normal-form instances within bounds, in lexicographic
-    (p, m0, d, mn) order; returns (instances, rejects)."""
+    (p, m0, d, mn) order; returns (instances, rejects).  Every candidate
+    passes validate's shape checks by construction, so only the rest of
+    validate is asked."""
     kept, rejects = [], 0
     for p in sorted(set(bounds.p_values)):
         for m0 in range(1, bounds.max_mp + 1):
             for d in range(1, (bounds.max_mp - m0) // p + 1):
                 arith = tuple(m0 + i * d for i in range(p + 1))
                 for mn in range(1, bounds.max_mn + 1):
-                    if validate(arith, mn).ok:
+                    if _generation_failure(arith, mn) is None:
                         kept.append(CurveInstance(arith, mn))
                     else:
                         rejects += 1

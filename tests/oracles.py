@@ -5,6 +5,7 @@ loops and sets, so package outputs can be cross-checked against a second,
 dumber implementation.  No imports from semicurve.
 """
 
+import heapq
 import math
 
 
@@ -45,6 +46,28 @@ def validation_failures(arith, extra):
             name = f"m{i}" if i < len(arith) else "mn"
             return (f"not minimally generated: {name} = {g} lies in the semigroup of the others",)
     return ()
+
+
+def apery_set(generators):
+    """Ap(S, m) for S = <generators> and m = generators[0], sorted: the
+    least element of S in each class mod m, by shortest paths over the m
+    classes (Dijkstra), where adding a generator g is an edge of length g.
+    Raises ValueError when a class is unreachable (gcd > 1)."""
+    m = generators[0]
+    least = {0: 0}
+    heap = [(0, 0)]
+    while heap:
+        x, r = heapq.heappop(heap)
+        if x > least[r]:
+            continue
+        for g in generators[1:]:
+            y, s = x + g, (r + g) % m
+            if s not in least or y < least[s]:
+                least[s] = y
+                heapq.heappush(heap, (y, s))
+    if len(least) != m:
+        raise ValueError("generators must have gcd 1")
+    return sorted(least.values())
 
 
 def ladder(t, arith):

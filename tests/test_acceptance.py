@@ -152,14 +152,13 @@ def test_criterion_7_property_suites(corpus):
         order = WeightedGrevlexOrder((5, 8, 11, 7))
         for _ in range(10_000):
             a, b, k = (tuple(rng.randrange(7) for _ in range(4)) for _ in range(3))
-            ka, kb = order.key(a), order.key(b)
-            # Totality: equal keys only for equal monomials.
-            assert (ka == kb) == (a == b)
-            # Antisymmetry: a < b exactly when b > a.
-            assert (ka < kb) == (kb > ka)
+            ab, ba = order.exceeds(a, b), order.exceeds(b, a)
+            # Totality and antisymmetry: exactly one of two distinct
+            # monomials exceeds the other, and none exceeds itself.
+            assert ab + ba == (a != b)
             # Multiplicativity: multiplying both sides by k keeps the comparison.
-            kak, kbk = order.key(mono_mul(a, k)), order.key(mono_mul(b, k))
-            assert (kak < kbk, kak == kbk) == (ka < kb, ka == kb)
+            ak, bk = mono_mul(a, k), mono_mul(b, k)
+            assert (order.exceeds(ak, bk), order.exceeds(bk, ak)) == (ab, ba)
 
         # Ideal-arithmetic identities on >= 10^3 random small ideals.
         def random_ideal(arity):

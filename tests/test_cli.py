@@ -298,6 +298,16 @@ def test_unwritable_out_exits_1(tmp_path, capsys, argv):
     assert err.startswith("error: cannot write") and str(target) in err
 
 
+def test_survey_checks_out_before_running(tmp_path, capsys, monkeypatch):
+    def no_survey(*args, **kwargs):
+        raise AssertionError("the survey ran before --out was checked")
+    monkeypatch.setattr(cli, "survey", no_survey)
+    target = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, "survey", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write") and str(target) in err
+
+
 @pytest.mark.parametrize("text", [
     pytest.param('{"arity": 2, "gens": [[1]]}', id="short-generator"),
     pytest.param('{"arity": 2, "gens": [[1.5, 0], [0, 2]]}', id="float-exponent"),

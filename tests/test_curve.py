@@ -1,4 +1,6 @@
 """Binomial generator families and the closed-form monomial lists."""
+from operator import mul
+
 from semicurve.curve import (
     Binomial,
     ClosedForm,
@@ -9,6 +11,9 @@ from semicurve.curve import (
 )
 from semicurve.ideals import MonomialIdeal
 from semicurve.semigroup import CurveInstance, derive
+from semicurve.survey import Bounds, enumerate_instances, front_half
+
+from oracles import apery_set, grevlex_key, standard_monomials
 
 W = CurveInstance.parse("5,8,11;7")
 W_DP = derive(W)
@@ -33,14 +38,14 @@ def test_generator_invariants_on_samples():
     for text in ("5,8,11;7", "7,8,9;11", "6,7,8;9", "21,22,23,24;16", "4,7;9"):
         curve = CurveInstance.parse(text)
         dp = derive(curve)
-        order = curve.order()
+        key = grevlex_key(curve.weights)
         gens = patil_singh_generators(dp, curve)
         p, r, r_z, eps = curve.p, dp.r, dp.r_z, dp.eps
         expected_count = (p - r + 1) + ((1 - eps) * p + r_z - r + 1) + 1 + p * (p - 1) // 2
         assert len(gens) == expected_count, text
         for b in gens:
             assert kernel_check(b, curve.weights), (text, b.text())
-            assert order.key(b.lead) > order.key(b.tail)
+            assert key(b.lead) > key(b.tail)
 
 
 def test_initial_ideal_closed_form_is_lead_set():
@@ -62,12 +67,37 @@ def test_worked_instance_initial_ideal():
     assert closed == want
 
 
+def _standard_degrees(gens, weights):
+    """Sorted weighted degrees of the standard monomials in x1..xn of the
+    monomial ideal gens: the generators that use x0 divide none of them."""
+    gens = [g[1:] for g in gens if not g[0]]
+    return sorted(sum(map(mul, m, weights[1:]))
+                  for m in standard_monomials(gens, len(weights) - 1))
+
+
+def test_initial_ideal_standard_degrees_are_the_apery_set(corpus):
+    # x0 is the smallest variable of the order, so in(I + (x0)) = in(I) +
+    # (x0), and the standard monomials of in(I) in x1..xn are a basis of
+    # k[S]/(t^m0), one in each degree of Ap(S, m0).  The reference reads
+    # the semigroup only, never derive.
+    wide = enumerate_instances(Bounds((3, 4, 5, 6), 45, 45))[0][::40]
+    cases = [(rep.instance, rep.in_ideal_computed) for rep in corpus.instances]
+    cases += [(curve, front_half(curve).in_ideal_computed) for curve in wide]
+    for curve, ideal in cases:
+        weights = curve.weights
+        want = apery_set(weights)
+        assert _standard_degrees(ideal.gens, weights) == want, curve.text()
+        # A bumped x_n^v adds the standard monomial x_n^v: the check fails.
+        bumped = [g[:-1] + (g[-1] + 1,) if not any(g[:-1]) else g for g in ideal.gens]
+        assert _standard_degrees(bumped, weights) != want, curve.text()
+
+
 def test_zero_convention_drops_are_reported():
     # On the worked instance the x0-free socle row evaluates with a negative
     # exponent and is dropped, which the table must surface.
     table = closed_form_table(W_DP, W, ClosedForm.SOCLE_RHO_CHI)
     assert table.dropped_count == 1
-    literal = sorted(table.monomials, key=W.order().key, reverse=True)
+    literal = sorted(table.monomials, key=grevlex_key(W.weights), reverse=True)
     assert literal == [(0, 1, 0, 0)]  # only x1 survives
 
 

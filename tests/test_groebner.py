@@ -1,10 +1,12 @@
 """Binomial basis verification and leading ideals, against the Fraction
-division oracle."""
+division oracle.  gb_verify takes weighted-homogeneous binomials only, as
+every curve basis is, so the random bases are drawn homogeneous."""
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicurve.curve import Binomial, patil_singh_generators
@@ -46,10 +48,11 @@ def _agrees_with_oracle(basis, order):
 
 def test_polynomial_construction_and_leading_term():
     f = Polynomial(4, {(0, 1, 1, 0): Fraction(1), (1, 0, 0, 2): Fraction(-1)})
-    mono, coef = f.leading(ORDER)
-    assert mono == (0, 1, 1, 0) and coef == 1
-    assert Polynomial(4, {}).is_zero
-    assert Polynomial(4, {(0, 0, 0, 0): Fraction(0)}).is_zero
+    assert leading_ideal([f], ORDER).gens == ((0, 1, 1, 0),)
+    assert Polynomial(4, {}).terms == {}
+    assert Polynomial(4, {(0, 0, 0, 0): Fraction(0)}).terms == {}
+    with pytest.raises(ValueError, match="arity"):
+        Polynomial(4, {(0, 1, 1): 1})
 
 
 def _tied_pair(weights, base, i, j):
@@ -87,31 +90,7 @@ def test_exceeds_matches_oracle_key_with_forced_ties(case):
     if a != b:
         lead = max(a, b, key=key)
         assert order.exceeds(a, b) != order.exceeds(b, a)
-        assert Polynomial(len(a), {a: 1, b: -1}).leading(order) == (lead, 1 if lead == a else -1)
-
-
-class _KeyOnlyOrder:
-    """An order whose two-monomial comparison must not be consulted."""
-
-    def __init__(self, order):
-        self.key = order.key
-
-    def exceeds(self, a, b):
-        raise AssertionError("a lead of three terms must come from order.key")
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_lead_cases)
-def test_leading_of_three_terms_takes_max_by_key(case):
-    weights, base, other, i, j, _ = case
-    if i == j:
-        j = (i + 1) % len(weights)
-    a, b = _tied_pair(weights, base, i, j)
-    terms = {a: 1, b: -1, tuple(other): 3}
-    assume(len(terms) == 3)
-    order = WeightedGrevlexOrder(tuple(weights))
-    lead = max(terms, key=grevlex_key(weights))
-    assert Polynomial(len(a), terms).leading(_KeyOnlyOrder(order)) == (lead, terms[lead])
+        assert leading_ideal([Polynomial(len(a), {a: 1, b: -1})], order).gens == (lead,)
 
 
 def test_reduce_trivial_cases():
@@ -157,7 +136,7 @@ def test_gb_verify_fails_when_generator_dropped():
         report = gb_verify(reduced_basis, ORDER)
         if not report.passed:
             assert report.failing_pair is not None
-            assert report.remainder is not None and not report.remainder.is_zero
+            assert report.remainder is not None and report.remainder.terms
             return
     pytest.fail("every generator was redundant")
 
@@ -174,6 +153,8 @@ def test_gb_verify_rejects_non_binomials():
         Polynomial(4, {(0, 1, 1, 0): 1, (1, 0, 0, 2): 1}),
         Polynomial(4, {(0, 1, 1, 0): 1}),
         Polynomial(4, {}),
+        # x1 - x0 has weighted degrees 8 and 5 under (5, 8, 11, 7).
+        Polynomial(4, {(0, 1, 0, 0): 1, (1, 0, 0, 0): -1}),
     ]
     for member in bad:
         with pytest.raises(ValueError):
@@ -193,12 +174,38 @@ def test_gb_verify_matches_oracle_on_corpus_and_wide_sample():
     assert failed > 0
 
 
-_binomial_bases = st.integers(2, 4).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(1, 9), min_size=n, max_size=n),
-    st.lists(st.tuples(st.lists(st.integers(0, 4), min_size=n, max_size=n),
-                       st.lists(st.integers(0, 4), min_size=n, max_size=n))
-             .filter(lambda uv: uv[0] != uv[1]),
-             min_size=1, max_size=5)))
+def _homogenized(weights, u, v):
+    """u times x_i^a and v times x_j^b, with a + b least over all (i, j),
+    so that both have one weighted degree.  For one (i, j), the least a
+    with a*w_i >= gap and w_j dividing a*w_i - gap lies among w_j
+    consecutive values when gcd(w_i, w_j) divides the gap; weights in 1..9
+    with gcd g always have a pair of gcd g, which divides every gap."""
+    gap = sum(map(mul, v, weights)) - sum(map(mul, u, weights))
+    _, i, a, j, b = min(
+        (a + b, i, a, j, b)
+        for i, wi in enumerate(weights) for j, wj in enumerate(weights)
+        for a in range(max(0, -(-gap // wi)), max(0, -(-gap // wi)) + wj)
+        for b, rest in [divmod(a * wi - gap, wj)] if not rest)
+    u, v = list(u), list(v)
+    u[i] += a
+    v[j] += b
+    return tuple(u), tuple(v)
+
+
+def _homogeneous_bases(arities, exponents, max_size):
+    """(weights, pairs): each pair is two exponent lists drawn by exponents
+    and made weighted-homogeneous by _homogenized."""
+    return arities.flatmap(lambda n: st.lists(
+        st.integers(1, 9), min_size=n, max_size=n).flatmap(lambda weights: st.tuples(
+            st.just(weights),
+            st.lists(st.tuples(exponents(n), exponents(n))
+                     .map(lambda uv: _homogenized(weights, *uv))
+                     .filter(lambda uv: uv[0] != uv[1]),
+                     min_size=1, max_size=max_size))))
+
+
+_binomial_bases = _homogeneous_bases(
+    st.integers(2, 4), lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n), 5)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -215,18 +222,15 @@ def _sparse_exponents(n):
         lambda exps: [exps.get(i, 0) for i in range(n)])
 
 
-_sparse_bases = st.integers(2, 8).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(1, 9), min_size=n, max_size=n),
-    st.lists(st.tuples(_sparse_exponents(n), _sparse_exponents(n))
-             .filter(lambda uv: uv[0] != uv[1]),
-             min_size=1, max_size=6)))
+_sparse_bases = _homogeneous_bases(st.integers(2, 8), _sparse_exponents, 6)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_sparse_bases)
 def test_gb_verify_matches_oracle_on_sparse_high_arity_binomials(case):
     # The leads of a curve basis have at most 3 nonzero exponents out of
-    # 5 to 8; rewrite rules compare only the nonzero ones.
+    # 5 to 8; rewrite rules compare only the nonzero ones.  Each term has
+    # at most n // 2 + 1 of them: one more may come from _homogenized.
     weights, pairs = case
     basis = [Polynomial.from_binomial(Binomial(tuple(u), tuple(v))) for u, v in pairs]
     _agrees_with_oracle(basis, WeightedGrevlexOrder(tuple(weights)))
@@ -256,12 +260,18 @@ def test_gb_verify_pair_counts_at_p20():
 
 
 def test_leading_ideal_and_scalar_invariance():
+    # The leads of +-(u - v) do not depend on the sign; any other scalar
+    # leaves the binomial domain and is rejected.
     basis = _basis()
     want = MonomialIdeal(4, [(0, 2, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0),
                             (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 3)])
     assert leading_ideal(basis, ORDER) == want
+    negated = [Polynomial(4, {m: -c for m, c in g.terms.items()}) for g in basis]
+    assert leading_ideal(negated, ORDER) == want
+    assert _fields(gb_verify(negated, ORDER)) == _fields(gb_verify(basis, ORDER))
     scaled = [Polynomial(4, {m: 7 * c for m, c in g.terms.items()}) for g in basis]
-    assert leading_ideal(scaled, ORDER) == want
+    with pytest.raises(ValueError):
+        leading_ideal(scaled, ORDER)
 
 
 def test_buchberger_completion_adds_nothing():

@@ -9,7 +9,7 @@ from semicurve.curve import closed_form_table, initial_closed_form
 from semicurve.errors import UserInputError
 from semicurve.ideals import MonomialIdeal
 from semicurve.ratliff_rush import reduce_variables, socle_complement
-from semicurve.semigroup import CurveInstance, derive
+from semicurve.semigroup import CurveInstance, derive, validate
 from semicurve.survey import (
     Bounds,
     COLON_SELECTORS,
@@ -26,6 +26,7 @@ from semicurve.survey import (
     survey,
     _divisor_span,
 )
+from oracles import grevlex_key
 from test_kernels import _colon_outside
 
 MINI_BOUNDS = Bounds((1, 2), 15, 15)
@@ -60,6 +61,15 @@ def test_enumerate_instances_pairs_with_rejects():
     assert instances == [] and rejects == 2
     instances, rejects = enumerate_instances(Bounds((), 9, 9))
     assert instances == [] and rejects == 0
+
+
+def test_enumeration_keeps_what_validate_accepts():
+    # Enumeration skips validate's shape checks, which its progressions pass.
+    candidates = [(tuple(m0 + i * d for i in range(p + 1)), mn)
+                  for p in (1, 2, 3) for m0 in range(1, 26)
+                  for d in range(1, (25 - m0) // p + 1) for mn in range(1, 26)]
+    kept = [CurveInstance(arith, mn) for arith, mn in candidates if validate(arith, mn).ok]
+    assert enumerate_instances(Bounds((3, 1, 2), 25, 25)) == (kept, len(candidates) - len(kept))
 
 
 def test_empty_bounds_survey():
@@ -188,13 +198,13 @@ def test_case_counts_and_stats(mini):
 
 def _assert_engine_lists_match_generic_colon(rep):
     ideal = rep.in_ideal_computed
-    order = rep.instance.order()
+    key = grevlex_key(rep.instance.weights)
     for c in rep.colon:
         lo, hi = _divisor_span(c.selector, rep.instance)
         if lo > hi:
             assert c.engine is None
             continue
-        assert list(c.engine) == sorted(set(c.engine), key=order.key, reverse=True)
+        assert list(c.engine) == sorted(set(c.engine), key=key, reverse=True)
         assert set(c.engine) == _colon_outside(ideal, range(lo, hi + 1)), c.selector
         a = ideal.arity
         assert c.ideal_equal == (MonomialIdeal(a, ideal.gens + c.literal)
