@@ -20,8 +20,8 @@ from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import format_monomial
 from semicurve.ratliff_rush import (
     Verdict,
-    combined_report,
     reduce_variables,
+    run_stage,
     socle_probe,
     verdict_payload,
 )
@@ -47,15 +47,8 @@ class _Parser(argparse.ArgumentParser):
         raise UserInputError(f"{self.prog}: {message}")
 
 
-def _parse_instance(text):
-    try:
-        return CurveInstance.parse(text)
-    except ValueError as exc:
-        raise UserInputError(str(exc)) from None
-
-
 def _validated(text):
-    curve = _parse_instance(text)
+    curve = CurveInstance.parse(text)
     report = validate(curve.arith, curve.extra)
     if not report.ok:
         raise UserInputError(report.first)
@@ -63,10 +56,11 @@ def _validated(text):
 
 
 def _parse_ideal(text):
-    """(ideal, note) from inline JSON, a JSON file path, or an instance
-    (its leading ideal with unused variables dropped, as run probes it)."""
+    """(ideal, note) from inline JSON (text opening with { or [), a JSON
+    file path, or an instance (its leading ideal with unused variables
+    dropped, as run probes it)."""
     if ";" in text:
-        curve = _parse_instance(text)
+        curve = CurveInstance.parse(text)
         reduced, dropped = reduce_variables(front_half(curve).in_ideal_computed)
         note = None
         if dropped:
@@ -75,7 +69,7 @@ def _parse_ideal(text):
             note = (f"initial ideal of {curve.text()} with unused variables "
                     f"dropped ({renames})")
         return reduced, note
-    if text.lstrip().startswith("{"):
+    if text.lstrip()[:1] in ("{", "["):
         raw = text
     else:
         try:
@@ -110,7 +104,7 @@ def _emit_json(args, payload):
 
 
 def cmd_validate(args):
-    curve = _parse_instance(args.instance)
+    curve = CurveInstance.parse(args.instance)
     report = validate(curve.arith, curve.extra)
     if args.json:
         _emit_json(args, {"instance": curve.text(), "ok": report.ok,
@@ -144,7 +138,7 @@ def cmd_gens(args):
 
 
 def cmd_inideal(args):
-    front = front_half(_parse_instance(args.instance))
+    front = front_half(CurveInstance.parse(args.instance))
     computed, closed = front.in_ideal_computed, front.in_ideal_closed
     match = front.in_ideal_match is MatchStatus.MATCH
     if args.json:
@@ -161,7 +155,7 @@ def cmd_inideal(args):
 
 
 def cmd_gb_verify(args):
-    curve = _parse_instance(args.instance)
+    curve = CurveInstance.parse(args.instance)
     report = front_half(curve).gb
     if args.json:
         payload = {"instance": curve.text(), "passed": report.passed,
@@ -190,7 +184,7 @@ _SELECTOR_FLAGS = {
 
 
 def cmd_colon(args):
-    front = front_half(_parse_instance(args.instance))
+    front = front_half(CurveInstance.parse(args.instance))
     comparisons = [c for c in front.colon
                    if not args.selector or c.selector is _SELECTOR_FLAGS[args.selector]]
     if args.json:
@@ -246,7 +240,8 @@ def _emit_verdict(args, payload, note):
 
 def cmd_rr(args):
     ideal, note = _parse_ideal(args.ideal)
-    return _emit_verdict(args, combined_report(ideal, args.depth), note)
+    payload = verdict_payload(args.depth, *run_stage(ideal, args.depth))
+    return _emit_verdict(args, payload, note)
 
 
 def cmd_probe(args):
@@ -258,7 +253,7 @@ def cmd_probe(args):
 
 
 def cmd_run(args):
-    curve = _parse_instance(args.instance)
+    curve = CurveInstance.parse(args.instance)
     report = run_instance(curve, args.depth)
     if args.json:
         _emit_json(args, report.to_dict(full=True))

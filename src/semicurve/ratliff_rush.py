@@ -282,38 +282,26 @@ def socle_probe(ideal, depth, powers=None):
                             witness, witness_depth, degenerate)
 
 
-def overall_verdict(chain, probe=None):
-    """The single Ratliff-Rush verdict rule: (verdict, witness, witness_depth).
-
-    NOT_CLOSED with the chain's witness if the chain certified one, else
-    NOT_CLOSED with the probe's witness if the probe certified one, else
-    CLOSED_EVIDENCE.  A missing probe (ideal not primary to the maximal
-    ideal) leaves the chain's verdict; the probe-only report passes no
-    chain."""
-    for side in (chain, probe):
-        if side is not None and side.witness is not None:
-            return Verdict.NOT_CLOSED, side.witness, side.witness_depth
-    return Verdict.CLOSED_EVIDENCE, None, None
-
-
 def verdict_payload(depth, chain=None, probe=None):
-    """JSON-ready verdict report for the rr (chain plus probe) and probe
-    (probe only) commands: chain_equal appears only with a chain, the
-    probe fields are empty without a probe, and the witness only on
-    NOT_CLOSED."""
-    verdict, witness, witness_depth = overall_verdict(chain, probe)
+    """JSON-ready verdict report for the rr (chain plus probe, from
+    run_stage) and probe (probe only) commands.  The verdict and witness
+    are the chain's (under run_stage the probe's verdict and witness depth
+    are the same, see there), and the probe's only when no chain is given.
+    chain_equal appears only with a chain, the probe fields are empty
+    without a probe, and the witness only on NOT_CLOSED."""
+    decided = probe if chain is None else chain
     payload = {
         "depth": depth,
-        "verdict": verdict.value,
+        "verdict": decided.verdict.value,
         "socle_candidates": [] if probe is None else [list(c) for c in probe.candidates],
         "membership_table": [] if probe is None else [[bool(b) for b in row]
                                                       for row in probe.membership_table],
     }
     if chain is not None:
         payload["chain_equal"] = [bool(b) for b in chain.chain_equal]
-    if witness is not None:
-        payload["witness"] = list(witness)
-        payload["witness_depth"] = witness_depth
+    if decided.witness is not None:
+        payload["witness"] = list(decided.witness)
+        payload["witness_depth"] = decided.witness_depth
     return payload
 
 
@@ -323,12 +311,15 @@ def run_stage(ideal, depth):
     The probe runs first, and only when the ideal is primary to the
     maximal ideal, otherwise it is None; rr_chain reads its membership
     table.  The zero and unit ideals are not primary, so rr_chain rejects
-    them."""
+    them.
+
+    The chain decides the stage's verdict, and the probe cannot disagree
+    with it: rr_chain takes J_k = I at every depth where no candidate
+    passes, and at a depth where one passes it takes the generic colon
+    and raises InternalCheckError if that colon is I.  So the chain is
+    NOT_CLOSED exactly when some table entry is True, which is exactly
+    when the probe is, and both witnesses sit at the first such depth."""
     powers = PowerCache(ideal)
     probe = socle_probe(ideal, depth, powers=powers) if primary_to_max(ideal) else None
     return rr_chain(ideal, depth, powers=powers, probe=probe), probe
 
-
-def combined_report(ideal, depth):
-    """The rr command's verdict_payload: chain plus probe from run_stage."""
-    return verdict_payload(depth, *run_stage(ideal, depth))

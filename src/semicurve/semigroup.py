@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from semicurve.errors import InternalCheckError
+from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.monomials import WeightedGrevlexOrder
 
 MAX_GENERATOR = 10 ** 6  # input budget: the b loops of derive and validate run up to m0 steps
@@ -116,12 +116,13 @@ class CurveInstance:
 
     @classmethod
     def parse(cls, text):
+        """Read `m0,...,mp;mn`; malformed text raises UserInputError."""
         try:
             head, _, tail = text.strip().partition(";")
             arith = tuple(int(x) for x in head.split(","))
             extra = int(tail)
         except ValueError as exc:
-            raise ValueError(f"bad instance {text!r}; expected m0,m1,...,mp;mn") from exc
+            raise UserInputError(f"bad instance {text!r}; expected m0,m1,...,mp;mn") from exc
         return cls(arith, extra)
 
 

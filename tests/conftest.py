@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from semicurve.semigroup import CurveInstance
@@ -7,6 +9,7 @@ from semicurve.survey import Bounds, survey
 # instance with p in {1,2,3}, m_p <= 25, m_n <= 25.
 ACCEPTANCE_BOUNDS = Bounds((1, 2, 3), 25, 25)
 ACCEPTANCE_DEPTH = 4
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 _acceptance_lines = []
 
@@ -16,10 +19,12 @@ def record_acceptance(line):
 
 
 def pytest_terminal_summary(terminalreporter):
-    if _acceptance_lines:
-        terminalreporter.section("acceptance criteria")
-        for line in _acceptance_lines:
-            terminalreporter.write_line(line)
+    terminalreporter.section("acceptance criteria")
+    for line in _acceptance_lines:
+        terminalreporter.write_line(line)
+    # The src/ line count that ROADMAP.md aim 2 tracks, as wc -l counts it.
+    lines = sum(p.read_bytes().count(b"\n") for p in SRC.rglob("*.py"))
+    terminalreporter.write_line(f"src/ Python lines (wc -l over src/**/*.py): {lines:,}")
 
 
 @pytest.fixture(scope="session")

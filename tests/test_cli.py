@@ -317,10 +317,11 @@ def test_survey_checks_out_before_running(tmp_path, capsys, monkeypatch):
     pytest.param('{"arity": 2, "gens": [1, 2]}', id="gens-not-lists"),
     pytest.param('{"arity": 2, "gens": [[1, -2]]}', id="negative-exponent"),
     pytest.param('{"arity": 2}', id="gens-missing"),
+    pytest.param(' [[2, 0], [0, 2]]', id="array-not-object"),
 ])
 def test_bad_ideal_json(capsys, text):
     code, out, err = run(capsys, "rr", text)
-    assert code == 1 and "error:" in err and out == ""
+    assert code == 1 and err.startswith("error: bad ideal JSON: ") and out == ""
 
 
 def test_unknown_subcommand(capsys):

@@ -13,11 +13,8 @@ from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
 from semicurve.ratliff_rush import (
     PowerCache,
-    RRChainReport,
-    SocleProbeReport,
     Verdict,
     certify_witness,
-    combined_report,
     primary_to_max,
     reduce_variables,
     rr_chain,
@@ -25,9 +22,9 @@ from semicurve.ratliff_rush import (
     scaled_in_power,
     socle_complement,
     socle_probe,
+    verdict_payload,
 )
 from semicurve.semigroup import CurveInstance, derive
-from semicurve.survey import run_instance
 
 from oracles import (
     in_ideal,
@@ -302,55 +299,26 @@ def test_chain_rejects_a_probe_the_colon_contradicts():
 
 
 def test_combined_report_schema():
-    rep = combined_report(NEGATIVE_CONTROL, 3)
+    rep = verdict_payload(3, *run_stage(NEGATIVE_CONTROL, 3))
     assert sorted(rep) == ["chain_equal", "depth", "membership_table",
                            "socle_candidates", "verdict", "witness",
                            "witness_depth"]
     assert rep["depth"] == 3 and rep["verdict"] == "NOT_CLOSED"
     assert rep["witness"] == [2, 2] and rep["witness_depth"] == 1
 
-    closed = combined_report(_w_reduced(), 2)
+    closed = verdict_payload(2, *run_stage(_w_reduced(), 2))
     assert closed["verdict"] == "CLOSED_EVIDENCE"
     assert "witness" not in closed
     assert closed["chain_equal"] == [True, True]
 
 
-def _fake_chain(witness):
-    if witness is None:
-        return RRChainReport(NEGATIVE_CONTROL, 1, (NEGATIVE_CONTROL,), (True,), 1,
-                             Verdict.CLOSED_EVIDENCE)
-    return RRChainReport(NEGATIVE_CONTROL, 1, (NEGATIVE_CONTROL,), (False,), 1,
-                         Verdict.NOT_CLOSED, witness, 1)
-
-
-def _fake_probe(witness):
-    if witness is None:
-        return SocleProbeReport(NEGATIVE_CONTROL, 1, (), (), Verdict.CLOSED_EVIDENCE)
-    return SocleProbeReport(NEGATIVE_CONTROL, 1, (witness,), ((True,),),
-                            Verdict.NOT_CLOSED, witness, 1)
-
-
-@pytest.mark.parametrize("chain_witness, probe_witness, expected", [
-    pytest.param(None, (1, 1), ("NOT_CLOSED", [1, 1]), id="probe-witness-closed-chain"),
-    pytest.param((2, 2), (1, 1), ("NOT_CLOSED", [2, 2]), id="chain-witness-first"),
-    pytest.param(None, None, ("CLOSED_EVIDENCE", None), id="both-closed"),
-    pytest.param((2, 2), "absent", ("NOT_CLOSED", [2, 2]), id="no-probe-chain-witness"),
-    pytest.param(None, "absent", ("CLOSED_EVIDENCE", None), id="no-probe-closed-chain"),
-])
-def test_rr_and_survey_share_the_verdict_rule(monkeypatch, chain_witness, probe_witness,
-                                               expected):
-    chain = _fake_chain(chain_witness)
-    probe = None if probe_witness == "absent" else _fake_probe(probe_witness)
-    surveyed = replace(run_instance(CurveInstance.parse("5,8,11;7"), depth=1),
-                       rr=chain, probe=probe)
-    monkeypatch.setattr(ratliff_rush, "rr_chain", lambda *a, **k: chain)
-    monkeypatch.setattr(ratliff_rush, "socle_probe", lambda *a, **k: probe)
-    monkeypatch.setattr(ratliff_rush, "primary_to_max", lambda ideal: probe is not None)
-    payload = combined_report(NEGATIVE_CONTROL, 1)
-
-    verdict, witness = expected
-    assert payload["verdict"] == surveyed.rr_verdict.value == verdict
-    assert payload.get("witness") == witness
+def test_rr_and_survey_share_the_verdict_rule(corpus):
+    # The chain decides both the rr payload and the survey's verdict, and
+    # the probe's agrees with it on every corpus instance.
+    for rep in corpus.instances:
+        assert rep.probe.verdict is rep.rr.verdict is rep.rr_verdict
+        payload = verdict_payload(rep.rr.depth, rep.rr, rep.probe)
+        assert payload["verdict"] == rep.rr_verdict.value
 
 
 def _generic_chain(ideal, depth):
@@ -363,10 +331,14 @@ def _generic_chain(ideal, depth):
 
 
 def _assert_chain_parity(ideal, chain, probe):
-    assert [j.gens for j in chain.chain] == [
-        j.gens for j in _generic_chain(ideal, chain.depth)]
+    # The two verdicts agree, and the payload carries the chain's witness.
     assert chain.verdict is probe.verdict
     assert chain.witness_depth == probe.witness_depth
+    payload = verdict_payload(chain.depth, chain, probe)
+    assert payload["verdict"] == chain.verdict.value
+    assert payload.get("witness") == (None if chain.witness is None else list(chain.witness))
+    assert [j.gens for j in chain.chain] == [
+        j.gens for j in _generic_chain(ideal, chain.depth)]
 
 
 def _gapped_ideals(count, seed):
@@ -383,8 +355,9 @@ def _gapped_ideals(count, seed):
 
 def test_chain_matches_generic_colon_on_gapped_ideals():
     verdicts = []
-    for ideal in _gapped_ideals(300, seed=5):
-        chain, probe = run_stage(ideal, 2)
+    cases = [(NEGATIVE_CONTROL, d) for d in range(1, 5)]
+    for ideal, depth in cases + [(ideal, 2) for ideal in _gapped_ideals(300, seed=5)]:
+        chain, probe = run_stage(ideal, depth)
         _assert_chain_parity(ideal, chain, probe)
         verdicts.append(chain.verdict)
     # Both verdicts occur, so the parity covers grown chains too.
