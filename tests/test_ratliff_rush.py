@@ -13,6 +13,8 @@ from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
 from semicurve.ratliff_rush import (
     PowerCache,
+    RRChainReport,
+    SocleProbeReport,
     Verdict,
     certify_witness,
     primary_to_max,
@@ -25,6 +27,7 @@ from semicurve.ratliff_rush import (
     verdict_payload,
 )
 from semicurve.semigroup import CurveInstance, derive
+from semicurve.survey import run_instance
 
 from oracles import (
     in_ideal,
@@ -312,9 +315,45 @@ def test_combined_report_schema():
     assert closed["chain_equal"] == [True, True]
 
 
-def test_rr_and_survey_share_the_verdict_rule(corpus):
-    # The chain decides both the rr payload and the survey's verdict, and
-    # the probe's agrees with it on every corpus instance.
+def _fake_chain(witness):
+    if witness is None:
+        return RRChainReport(NEGATIVE_CONTROL, 1, (NEGATIVE_CONTROL,), (True,), 1,
+                             Verdict.CLOSED_EVIDENCE)
+    return RRChainReport(NEGATIVE_CONTROL, 1, (NEGATIVE_CONTROL,), (False,), 1,
+                         Verdict.NOT_CLOSED, witness, 1)
+
+
+def _fake_probe(witness):
+    if witness is None:
+        return SocleProbeReport(NEGATIVE_CONTROL, 1, (), (), Verdict.CLOSED_EVIDENCE)
+    return SocleProbeReport(NEGATIVE_CONTROL, 1, (witness,), ((True,),),
+                            Verdict.NOT_CLOSED, witness, 1)
+
+
+@pytest.mark.parametrize("chain_witness, probe_witness, expected", [
+    pytest.param(None, (1, 1), ("CLOSED_EVIDENCE", None), id="probe-witness-closed-chain"),
+    pytest.param((2, 2), (1, 1), ("NOT_CLOSED", [2, 2]), id="chain-witness-first"),
+    pytest.param(None, None, ("CLOSED_EVIDENCE", None), id="both-closed"),
+    pytest.param((2, 2), "absent", ("NOT_CLOSED", [2, 2]), id="no-probe-chain-witness"),
+    pytest.param(None, "absent", ("CLOSED_EVIDENCE", None), id="no-probe-closed-chain"),
+])
+def test_rr_and_survey_share_the_verdict_rule(worked_instance, chain_witness,
+                                               probe_witness, expected):
+    # The chain decides both the rr payload and the survey's verdict,
+    # whatever the probe reports beside it.
+    chain = _fake_chain(chain_witness)
+    probe = None if probe_witness == "absent" else _fake_probe(probe_witness)
+    surveyed = replace(run_instance(worked_instance, depth=1), rr=chain, probe=probe)
+    payload = verdict_payload(1, chain, probe)
+
+    verdict, witness = expected
+    assert payload["verdict"] == surveyed.rr_verdict.value == verdict
+    assert payload.get("witness") == witness
+
+
+def test_chain_and_probe_agree_on_the_corpus(corpus):
+    # On real ideals the probe's verdict is the chain's, so the payload's
+    # verdict is the survey's.
     for rep in corpus.instances:
         assert rep.probe.verdict is rep.rr.verdict is rep.rr_verdict
         payload = verdict_payload(rep.rr.depth, rep.rr, rep.probe)
