@@ -5,11 +5,7 @@ order, and Ratliff-Rush closedness probing of the initial ideal."""
 from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
 from semicurve.kernels import BACKEND
-from semicurve.monomials import (
-    WeightedGrevlexOrder,
-    format_monomial,
-    parse_monomial,
-)
+from semicurve.monomials import WeightedGrevlexOrder, format_monomial
 from semicurve.semigroup import CurveInstance, DerivedParams, derive, validate
 
 __version__ = "1.0.0"
@@ -24,7 +20,6 @@ __all__ = [
     "WeightedGrevlexOrder",
     "derive",
     "format_monomial",
-    "parse_monomial",
     "validate",
     "__version__",
 ]

@@ -142,9 +142,8 @@ def cmd_inideal(args):
     computed, closed = front.in_ideal_computed, front.in_ideal_closed
     match = front.in_ideal_match is MatchStatus.MATCH
     if args.json:
-        payload = json.loads(computed.to_json())
-        payload["closed_form_match"] = match
-        _emit_json(args, payload)
+        _emit_json(args, {"arity": computed.arity, "gens": [list(g) for g in computed.gens],
+                          "closed_form_match": match})
     else:
         lines = [", ".join(format_monomial(m) for m in computed.gens)]
         if not match:
@@ -270,6 +269,8 @@ def cmd_run(args):
 
 
 def cmd_survey(args):
+    if args.json and args.format not in (None, Format.JSON.value):
+        raise UserInputError(f"--json conflicts with --format {args.format}")
     bounds = Bounds(tuple(args.p), args.max_mp, args.max_mn)
     _write(args, b"")  # an unwritable --out fails before the survey runs
     report = survey(bounds, depth=args.depth)

@@ -6,7 +6,7 @@ derived parameters.  This module constructs them, the closed-form minimal
 generators of the initial ideal, and the published colon/socle generator
 lists that the survey comparator checks against the generic engine.
 
-Closed-form lists follow the zero convention: a monomial whose formula
+The published lists follow the zero convention: a monomial whose formula
 produces a negative exponent is treated as 0 and dropped.  Rows gated by
 a Kronecker delta on q_z are present only when q_z = 0.
 """
@@ -87,38 +87,23 @@ def patil_singh_generators(dp, instance):
     return tuple(out)
 
 
-def initial_closed_form_rows(dp, instance):
-    """Raw closed-form generator rows of the initial ideal plus any
-    monomials dropped by the zero convention (expected none)."""
-    p, n = instance.p, instance.n
-    arity = instance.arity
-    rows, dropped = [], []
-
-    def add(pairs, label):
-        m = _mono(arity, pairs)
-        if m is None:
-            dropped.append(label)
-        else:
-            rows.append(m)
-
-    for i in range(dp.r, p + 1):
-        add([(i, 1), (p, dp.q)], f"x{i}*xp^q")
-    for j in range(dp.eps * p + dp.r - dp.r_z, p + 1):
-        add([(j, 1), (p, dp.q - dp.q_z - dp.eps), (n, dp.v - dp.w)], f"x{j}*xp^(q-q_z-eps)*xn^(v-w)")
-    add([(n, dp.v)], "xn^v")
-    for i in range(1, p):
-        for j in range(i, p):
-            add([(i, 1), (j, 1)], f"x{i}*x{j}")
-    return rows, dropped
-
-
 def initial_closed_form(dp, instance):
-    """Minimal generators of the initial ideal from the closed form."""
-    rows, dropped = initial_closed_form_rows(dp, instance)
-    if dropped:
+    """Minimal generators of the initial ideal from the closed form: x_i*x_p^q
+    for r <= i <= p, x_j*x_p^(q-q_z-eps)*x_n^(v-w) for eps*p+r-r_z <= j <= p,
+    x_n^v, and x_i*x_j for 1 <= i <= j < p.  The zero convention does not
+    apply: a negative exponent is an internal error naming the instance."""
+    p, n, arity = instance.p, instance.n, instance.arity
+    rows = [[(i, 1), (p, dp.q)] for i in range(dp.r, p + 1)]
+    rows += [[(j, 1), (p, dp.q - dp.q_z - dp.eps), (n, dp.v - dp.w)]
+             for j in range(dp.eps * p + dp.r - dp.r_z, p + 1)]
+    rows.append([(n, dp.v)])
+    rows += [[(i, 1), (j, 1)] for i in range(1, p) for j in range(i, p)]
+    gens = [_mono(arity, pairs) for pairs in rows]
+    if None in gens:
         raise InternalCheckError(
-            f"negative exponent in initial-ideal closed form for {instance.text()}: {dropped}")
-    return MonomialIdeal(instance.arity, rows, weights=instance.weights)
+            f"negative exponent in initial-ideal closed form for {instance.text()}: "
+            f"exponent pairs {rows[gens.index(None)]}")
+    return MonomialIdeal(arity, gens, weights=instance.weights)
 
 
 class ClosedForm(enum.Enum):

@@ -50,8 +50,9 @@ class MonomialIdeal:
 
     @classmethod
     def from_json(cls, text):
-        """Inverse of to_json.  A malformed ideal raises UserInputError; the
-        constructor rejects negative exponents."""
+        """Read ``{"arity": k, "gens": [[e0, ...], ...]}``.  A malformed
+        ideal raises UserInputError; the constructor rejects negative
+        exponents."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise UserInputError('expected an object {"arity": k, "gens": [...]}')
@@ -76,14 +77,11 @@ class MonomialIdeal:
     def is_unit(self):
         return len(self.gens) == 1 and not any(self.gens[0])
 
-    def contains(self, m):
+    def __contains__(self, m):
         """Membership: true iff some generator divides m."""
         if len(m) != self.arity:
             raise ValueError(f"arity mismatch: monomial {len(m)} vs ideal {self.arity}")
         return kernels.divides_any(self.gens, tuple(m))
-
-    def __contains__(self, m):
-        return self.contains(m)
 
     def is_subset_of(self, other):
         """Ideal containment: every generator of self lies in other."""
@@ -130,8 +128,3 @@ class MonomialIdeal:
             return f"MonomialIdeal({self.arity}, 0)"
         inner = ", ".join(format_monomial(g) for g in self.gens)
         return f"MonomialIdeal({self.arity}, ({inner}))"
-
-    def to_json(self):
-        """Canonical JSON: ``{"arity": k, "gens": [[e0, ...], ...]}``."""
-        payload = {"arity": self.arity, "gens": [list(g) for g in self.gens]}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -13,27 +13,16 @@ front half asks of an order, and descending sorts many; there is no key.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from operator import add, mul
+from operator import mul
 
 Mono = tuple  # exponent tuple; alias for readability in signatures
-
-
-def unit(arity: int) -> Mono:
-    return (0,) * arity
 
 
 def weighted_degree(m: Mono, weights) -> int:
     if len(m) != len(weights):
         raise ValueError(f"arity mismatch: monomial {len(m)} vs weights {len(weights)}")
     return sum(map(mul, m, weights))
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    if len(a) != len(b):
-        raise ValueError(f"arity mismatch: {len(a)} vs {len(b)}")
-    return tuple(map(add, a, b))
 
 
 @dataclass(frozen=True)
@@ -68,9 +57,6 @@ def descending(monos, weights=None) -> tuple:
     return tuple(sorted(monos, key=lambda m: (-sum(map(mul, m, weights)), m)))
 
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-
-
 def format_monomial(m: Mono) -> str:
     """Text form ``x0^a*x1^b*...``; zero exponents omitted, unit is ``1``."""
     parts = []
@@ -80,20 +66,3 @@ def format_monomial(m: Mono) -> str:
         elif e > 1:
             parts.append(f"x{i}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def parse_monomial(text: str, arity: int) -> Mono:
-    """Inverse of format_monomial; exact round-trip."""
-    text = text.strip()
-    exps = [0] * arity
-    if text == "1":
-        return tuple(exps)
-    for factor in text.split("*"):
-        match = _FACTOR_RE.match(factor.strip())
-        if not match:
-            raise ValueError(f"bad monomial factor {factor!r}")
-        idx = int(match.group(1))
-        if idx >= arity:
-            raise ValueError(f"variable x{idx} out of range for arity {arity}")
-        exps[idx] += int(match.group(2)) if match.group(2) else 1
-    return tuple(exps)

@@ -41,7 +41,7 @@ from operator import add
 from semicurve import kernels
 from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
-from semicurve.monomials import descending, mono_mul, unit
+from semicurve.monomials import descending
 
 
 class Verdict(Enum):
@@ -134,7 +134,7 @@ def scaled_in_power(mono, rows_k, rows_k1):
     """True iff mono * I^k is contained in I^(k+1), given their rows
     (divisibility scans).  The products are formed lazily, so the scan
     stops at the first miss."""
-    return kernels.all_divisible((mono_mul(mono, g) for g in rows_k), rows_k1)
+    return kernels.all_divisible((tuple(map(add, mono, g)) for g in rows_k), rows_k1)
 
 
 def _power_rows(gens, powers, k):
@@ -256,7 +256,7 @@ def socle_probe(ideal, depth, powers=None):
     if powers is None:
         powers = PowerCache(ideal)
     candidates = socle_complement(ideal)
-    degenerate = unit(ideal.arity) in candidates
+    degenerate = (0,) * ideal.arity in candidates
     contains = kernels.power_membership(ideal.gens)
 
     def passes(c, k):   # c * I^k <= I^(k+1)

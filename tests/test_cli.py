@@ -55,9 +55,8 @@ def test_gens(capsys):
 def test_inideal(capsys):
     code, out, _ = run(capsys, "inideal", "--json", W)
     assert code == 0
-    data = json.loads(out)
-    assert data["closed_form_match"] is True
-    assert [0, 2, 0, 0] in data["gens"]
+    assert out == ('{"arity":4,"closed_form_match":true,"gens":[[0,0,2,0],[0,0,0,3],'
+                   '[0,1,1,0],[0,0,1,1],[0,2,0,0],[0,1,0,1]]}\n')
 
 
 def test_gb_verify(capsys):
@@ -332,6 +331,8 @@ def test_unknown_subcommand(capsys):
 @pytest.mark.parametrize("argv", [
     pytest.param(["rr", W, "--depth", "abc"], id="depth-not-int"),
     pytest.param(["survey", "--format", "xml"], id="bad-format"),
+    pytest.param(["survey", "--json", "--format", "csv"], id="json-with-csv"),
+    pytest.param(["survey", "--json", "--format", "text"], id="json-with-text"),
     pytest.param(["rr"], id="missing-argument"),
     pytest.param(["params", W, "--bogus"], id="unknown-option"),
     pytest.param([], id="no-subcommand"),

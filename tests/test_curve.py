@@ -1,5 +1,8 @@
 """Binomial generator families and the closed-form monomial lists."""
+from dataclasses import replace
 from operator import mul
+
+import pytest
 
 from semicurve.curve import (
     Binomial,
@@ -9,6 +12,7 @@ from semicurve.curve import (
     kernel_check,
     patil_singh_generators,
 )
+from semicurve.errors import InternalCheckError
 from semicurve.ideals import MonomialIdeal
 from semicurve.semigroup import CurveInstance, derive
 from semicurve.survey import Bounds, enumerate_instances, front_half
@@ -65,6 +69,12 @@ def test_worked_instance_initial_ideal():
                             (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 3)],
                          weights=W.weights)
     assert closed == want
+
+
+def test_initial_closed_form_rejects_a_negative_exponent():
+    # q_z = q + 1 makes the exponent q - q_z - eps of x_p negative.
+    with pytest.raises(InternalCheckError, match="5,8,11;7"):
+        initial_closed_form(replace(W_DP, q_z=W_DP.q + 1), W)
 
 
 def _standard_degrees(gens, weights):

@@ -23,3 +23,10 @@ def test_src_imports_only_stdlib_and_semicurve():
                 continue
             foreign += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_every_export_resolves():
+    # A name left in __all__ after its helper is deleted fails here, not in
+    # a caller's `from semicurve import *`.
+    missing = [name for name in semicurve.__all__ if not hasattr(semicurve, name)]
+    assert missing == []

@@ -1,5 +1,4 @@
 """Monomial-ideal arithmetic against hand values and brute-force oracles."""
-import json
 import random
 
 import pytest
@@ -49,7 +48,7 @@ def test_membership():
     assert (2, 1) in ideal and (0, 3) in ideal
     assert (1, 2) not in ideal and (0, 0) not in ideal
     with pytest.raises(ValueError):
-        ideal.contains((1, 2, 3))
+        (1, 2, 3) in ideal
     for bad in ([(1,)], [(1, -1)]):
         with pytest.raises(ValueError):
             MonomialIdeal(2, bad)
@@ -74,12 +73,9 @@ def test_colon_by_zero_and_unit():
     assert i.colon(MonomialIdeal(2, [(0,) * 2])) == i
 
 
-def test_json_roundtrip():
-    ideal = _ideal([(2, 0, 1), (0, 3, 0)])
-    again = MonomialIdeal.from_json(ideal.to_json())
-    assert again == ideal
-    payload = json.loads(ideal.to_json())
-    assert payload["arity"] == 3
+def test_from_json():
+    ideal = MonomialIdeal.from_json('{"arity": 3, "gens": [[2, 0, 1], [0, 3, 0]]}')
+    assert ideal == _ideal([(2, 0, 1), (0, 3, 0)]) and ideal.arity == 3
     with pytest.raises(ValueError):
         MonomialIdeal.from_json("not json")
     with pytest.raises(ValueError):

@@ -1,37 +1,26 @@
 """Monomial arithmetic and the weighted graded reverse-lex order."""
 import random
+from operator import add
 
 import pytest
 
-from semicurve.monomials import (
-    WeightedGrevlexOrder,
-    format_monomial,
-    mono_mul,
-    parse_monomial,
-    unit,
-    weighted_degree,
-)
+from semicurve.monomials import WeightedGrevlexOrder, format_monomial, weighted_degree
 
 from oracles import grevlex_key
 
 
 def test_basic_arithmetic():
     a, b = (1, 2, 0), (0, 1, 3)
-    assert mono_mul(a, b) == (1, 3, 3)
-    assert mono_mul(unit(3), a) == a
+    assert tuple(map(add, a, b)) == (1, 3, 3)
+    assert tuple(map(add, (0, 0, 0), a)) == a
     assert weighted_degree(a, (5, 8, 11)) == 21
 
 
-def test_format_parse_roundtrip():
-    cases = [(0, 0, 0), (1, 0, 2), (3, 1, 1), (0, 7, 0)]
-    for m in cases:
-        assert parse_monomial(format_monomial(m), 3) == m
+def test_format_monomial():
+    cases = {(0, 0, 0): "1", (1, 0, 2): "x0*x2^2", (3, 1, 1): "x0^3*x1*x2", (0, 7, 0): "x1^7"}
+    for m, text in cases.items():
+        assert format_monomial(m) == text
     assert format_monomial((0, 0)) == "1"
-    assert parse_monomial("x1^2*x0", 3) == (1, 2, 0)
-    with pytest.raises(ValueError):
-        parse_monomial("x9", 3)
-    with pytest.raises(ValueError):
-        parse_monomial("y1", 2)
 
 
 def test_order_grading_dominates():
@@ -77,7 +66,7 @@ def test_order_axioms_sampled():
         # exceeds the other, and no monomial exceeds itself.
         assert ab + ba == (a != b)
         # Multiplicativity: comparison survives multiplication by c.
-        ac, bc = mono_mul(a, c), mono_mul(b, c)
+        ac, bc = tuple(map(add, a, c)), tuple(map(add, b, c))
         assert (order.exceeds(ac, bc), order.exceeds(bc, ac)) == (ab, ba)
         # The unit monomial is minimal: a multiple of c never lies below c.
         assert not order.exceeds(c, ac)
