@@ -23,6 +23,10 @@ and never forms a power: its answers are memoized on (m, j) for the life of
 the predicate it returns.
 
 colon_residues builds its result by a forward walk, one index at a time.
+A step by x_i passes through every residue a with a x_i in I: such an a is
+already a minimal generator of the next colon, so no lcm is built for it,
+and since the residues of a step form an antichain outside I, no lcm built
+for another residue divides it.  Only the other residues are expanded.
 One cache entry, keyed on the rows of the last ideal seen, keeps the
 residue at the end of each walk taken over those rows, so a colon by an
 index list that extends an earlier one steps on from where that walk
@@ -166,26 +170,43 @@ def _walks(rows):
 
 
 def _step(rows, head, residues, i, entries):
-    """R_(head + (i,)) from residues = R_head, as a list."""
+    """R_(head + (i,)) from residues = R_head, as a list.
+
+    A residue a with a x_i in I passes through: some b = g - x_i with
+    b_i = a_i divides a, so lcm(a, b) = a, and no lcm is built for it.
+    The other residues are expanded, their lcms filtered against rows, and
+    what is left is minimalized together with the kept ones.  No new lcm
+    divides a kept a: it is a multiple of some other a' in R_head, and
+    R_head is an antichain because rows are the minimal generators.
+    """
     single = [g[:i] + (g[i] - 1,) + g[i + 1:] for g in rows if g[i]]
     if not head:
         return single
+    kept = []
     lcms = set()
     for a in residues:
         ai = a[i]
         for b in single:
-            if ai > b[i]:
-                continue
-            for j in head:
-                if b[j] > a[j]:
-                    break
-            else:
-                lcms.add(tuple(map(max, a, b)))
+            if b[i] == ai and all(map(le, b, a)):  # a x_i lies in I
+                kept.append(a)
+                break
+        else:
+            for b in single:
+                if ai > b[i]:
+                    continue
+                for j in head:
+                    if b[j] > a[j]:
+                        break
+                else:
+                    lcms.add(tuple(map(max, a, b)))
     if not lcms:
-        return []
+        return kept
     if not entries:
         entries.extend(_supports(rows, rows))
-    return _minimalize([m for m in lcms if _first_divisor(entries, m) is None])
+    grown = [m for m in lcms if _first_divisor(entries, m) is None]
+    if not grown:
+        return kept
+    return _minimalize(kept + grown)
 
 
 def colon_residues(rows, indices):
@@ -195,10 +216,14 @@ def colon_residues(rows, indices):
     nonempty.  The result is built one index at a time as the residues R_P
     of the prefix P.  Each residue is an lcm of one g - x_i per index, with
     g a generator and g_i >= 1; for the first index these are already
-    minimal and outside I.  A pair a in R_P, b = g - x_i is skipped when
-    b_j > a_j for some j in P (then lcm(a, b) is a multiple of a + x_j, in
-    I) or when a_i > b_i (then it is a multiple of b + x_i = g); only the
-    surviving lcms are scanned against rows.  Returned in no fixed order.
+    minimal and outside I.  A residue a of R_P with a x_i in I passes
+    through to R_(P + (i,)) unchanged (see _step).  For the others, a pair
+    a, b = g - x_i is skipped when b_j > a_j for some j in P (then lcm(a, b)
+    is a multiple of a + x_j, in I) or when a_i > b_i (then it is a multiple
+    of b + x_i = g); only the surviving lcms are scanned against rows.  That
+    rows are minimal is what makes each R_P an antichain outside I, which
+    the pass-through needs: without it a kept residue could be a multiple of
+    another.  Returned in no fixed order.
 
     The walk starts from the longest prefix of indices at which an earlier
     walk over the same rows ended, and only its own end is kept, so

@@ -38,6 +38,7 @@ from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.monomials import WeightedGrevlexOrder
 
 MAX_GENERATOR = 10 ** 6  # input budget: the b loops of derive and validate run up to m0 steps
+MAX_P = 40  # input budget: gb_verify reduces O(p^4) S-pairs of O(p^2) binomials
 
 
 class _ArithmeticPart:
@@ -260,10 +261,12 @@ def validate(arith, extra):
 def _generation_failure(arith, extra):
     """validate's check past its shape checks, for an increasing arithmetic
     progression arith of at least two positive ints and a positive extra:
-    the first failure of the generator budget, gcd 1 and minimal
+    the first failure of the generator and p budgets, gcd 1 and minimal
     generation, or None."""
     if max(arith[-1], extra) > MAX_GENERATOR:
         return f"generators must not exceed {MAX_GENERATOR}"
+    if len(arith) - 1 > MAX_P:
+        return f"p must not exceed {MAX_P}"
     if math.gcd(*arith, extra) != 1:
         return "generators must have gcd 1"
     A = _ArithmeticPart(arith)

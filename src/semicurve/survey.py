@@ -54,7 +54,7 @@ from semicurve.groebner import Polynomial, gb_verify, leading_ideal
 from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import descending, format_monomial
 from semicurve.ratliff_rush import Verdict, reduce_variables, run_stage
-from semicurve.semigroup import Case, CurveInstance, _generation_failure, derive, validate
+from semicurve.semigroup import MAX_P, Case, CurveInstance, _generation_failure, derive, validate
 
 
 class MatchStatus(enum.Enum):
@@ -354,12 +354,15 @@ class Bounds:
     max_mn: int
 
     def __post_init__(self):
-        """Every bound must be at least 1; an empty p_values is allowed."""
+        """Every bound must be at least 1 and every p at most MAX_P; an
+        empty p_values is allowed."""
         bad = [f"p = {p}" for p in self.p_values if p < 1]
         bad += [f"{name} = {v}" for name, v in (("max_mp", self.max_mp),
                                                 ("max_mn", self.max_mn)) if v < 1]
         if bad:
             raise UserInputError("survey bounds must be at least 1: " + ", ".join(bad))
+        if max(self.p_values, default=0) > MAX_P:
+            raise UserInputError(f"survey p must not exceed {MAX_P}: p = {max(self.p_values)}")
 
     def to_dict(self):
         return {"p_values": list(self.p_values), "max_mp": self.max_mp,

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, exit codes, JSON payloads, files."""
 import json
+import time
 import tracemalloc
 
 import pytest
 
 from semicurve import cli
+from semicurve import survey as survey_module
 
 W = "5,8,11;7"
 NEGATIVE_CONTROL = json.dumps(
@@ -217,6 +219,31 @@ def test_generator_above_limit_exits_1(capsys, command):
     if command != "validate":
         assert "error:" in err and out == ""
     assert peak < 1_000_000
+
+
+def _run_of(m0, p, mn):
+    return ",".join(str(m0 + i) for i in range(p + 1)) + f";{mn}"
+
+
+@pytest.mark.parametrize("command", ["validate", "gb-verify", "run"])
+def test_p_above_budget_exits_1_at_once(capsys, command):
+    # 100,...,141;99 is minimally generated with gcd 1; only p = 41 fails.
+    # At p = 60 gb-verify ran for more than 40 s on 1,834 binomials.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, command, _run_of(100, 41, 99))
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and "p must not exceed 40" in out + err
+    if command != "validate":
+        assert "error:" in err and out == ""
+    assert run(capsys, "validate", _run_of(100, 40, 99))[0] == 0
+
+
+def test_survey_rejects_p_above_budget_before_enumerating(capsys, monkeypatch):
+    def enumerate_instances(bounds):
+        raise AssertionError("enumerated")
+    monkeypatch.setattr(survey_module, "enumerate_instances", enumerate_instances)
+    code, out, err = run(capsys, "survey", "--p", "3", "41", "--max-mp", "60", "--max-mn", "60")
+    assert code == 1 and "error: survey p must not exceed 40" in err and out == ""
 
 
 @pytest.mark.parametrize("text, code_want", [

@@ -2,12 +2,17 @@
 selection, the index's memory, membership in powers, empty inputs,
 exact large exponents, lcms and single-monomial colons against the
 oracles, and colon residues against the generic colon (on sparse rows in
-6-8 variables too) and against themselves with a cold walk cache."""
+6-8 variables too, and as a property over random minimal ideals and walks),
+against themselves with a cold walk cache, and by hand at a step that
+passes residues through."""
 import random
 import time
 import tracemalloc
+from operator import le
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicurve import kernels
 from semicurve.ideals import MonomialIdeal
@@ -177,6 +182,57 @@ def test_colon_residues_hand_values():
     assert kernels.colon_residues([(0, 0)], [0, 1]) == []
     with pytest.raises(ValueError):
         kernels.colon_residues([(1, 0)], [])
+
+
+def test_colon_residues_pass_through_residues_whose_product_lies_in_the_ideal():
+    # (x^4, x^3 y, x y^3, y^4): the x step leaves x^3, x^2 y and y^3.  At the
+    # y step x^3 y and y^4 lie in I, so x^3 and y^3 pass through with no lcm
+    # built (the support forms stay unbuilt and the kept list comes back as
+    # it went in); x^2 y^2 lies outside I, so x^2 y is expanded to x^2 y^2.
+    rows = MonomialIdeal(2, [(4, 0), (3, 1), (1, 3), (0, 4)]).gens
+    assert set(kernels._step(rows, (), (), 0, [])) == {(3, 0), (2, 1), (0, 3)}
+    entries = []
+    assert kernels._step(rows, (0,), [(0, 3), (3, 0)], 1, entries) == [(0, 3), (3, 0)]
+    assert entries == []
+    got = kernels._step(rows, (0,), [(3, 0), (2, 1), (0, 3)], 1, entries)
+    assert sorted(got) == [(0, 3), (2, 2), (3, 0)]
+    assert entries
+    assert kernels._step(rows, (0,), [(2, 1)], 1, entries) == [(2, 2)]
+    kernels._walks.cache_clear()
+    assert set(kernels.colon_residues(rows, [0, 1])) == {(3, 0), (2, 2), (0, 3)}
+
+
+@st.composite
+def _walk_cases(draw):
+    """A minimal ideal in 1-6 variables (exponents up to 6, up to 10
+    generators, some variables unused, sometimes the unit) and a walk of
+    indices with repeats, cut at a shared prefix."""
+    arity = draw(st.integers(1, 6))
+    unused = draw(st.sets(st.integers(0, arity - 1), max_size=arity - 1))
+    exps = st.tuples(*[st.just(0) if i in unused else st.integers(0, 6)
+                       for i in range(arity)])
+    gens = draw(st.lists(exps, max_size=10))
+    if draw(st.integers(0, 9)) == 0:
+        gens.append((0,) * arity)
+    walk = draw(st.lists(st.integers(0, arity - 1), min_size=1, max_size=2 * arity + 2))
+    return MonomialIdeal(arity, gens), walk, draw(st.integers(1, len(walk)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_walk_cases())
+def test_colon_residues_property_against_generic_colon(case):
+    ideal, walk, cut = case
+    want = _colon_outside(ideal, walk)
+    kernels._walks.cache_clear()
+    cold = kernels.colon_residues(ideal.gens, walk)
+    kernels._walks.cache_clear()
+    kernels.colon_residues(ideal.gens, walk[:cut])
+    warm = kernels.colon_residues(ideal.gens, walk)
+    assert set(cold) == set(warm) == want
+    assert len(cold) == len(want)
+    for a in cold:
+        assert a not in ideal
+        assert not any(b != a and all(map(le, b, a)) for b in cold)
 
 
 def test_colon_residues_match_generic_colon_on_seeded_ideals():
