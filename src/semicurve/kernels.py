@@ -27,6 +27,9 @@ A step by x_i passes through every residue a with a x_i in I: such an a is
 already a minimal generator of the next colon, so no lcm is built for it,
 and since the residues of a step form an antichain outside I, no lcm built
 for another residue divides it.  Only the other residues are expanded.
+The first step's residues are an antichain because the rows are the
+minimal generators of I, and every later step keeps a subset of its input
+or minimalizes, so that precondition carries the whole walk.
 One cache entry, keyed on the rows of the last ideal seen, keeps the
 residue at the end of each walk taken over those rows, so a colon by an
 index list that extends an earlier one steps on from where that walk
@@ -177,7 +180,8 @@ def _step(rows, head, residues, i, entries):
     The other residues are expanded, their lcms filtered against rows, and
     what is left is minimalized together with the kept ones.  No new lcm
     divides a kept a: it is a multiple of some other a' in R_head, and
-    R_head is an antichain because rows are the minimal generators.
+    R_head is an antichain because rows are the minimal generators.  The
+    output is then an antichain outside I too, which the next step needs.
     """
     single = [g[:i] + (g[i] - 1,) + g[i + 1:] for g in rows if g[i]]
     if not head:
