@@ -41,14 +41,13 @@ pairs with a nonzero exponent, paired with a value (_supports).  The
 first-divisor scan (_first_divisor) compares only those pairs, so the
 empty support of the unit monomial divides everything.  colon_residues
 filters its lcms against the support forms of rows, kept in the same cache
-entry and built by the first step that has lcms to filter, and groebner
-finds its first dividing rewrite rule the same way.
+entry and built by the first step that has lcms to filter.
 
 A kernel that needs another one calls its private helper, never the public
 name, so the eight public functions are entered only from outside the module
 (perfbench's tracer counts calls on the public names it lists; the
 predicate that power_membership returns is no public name, so its queries
-are never counted, and neither are groebner's support scans).
+are never counted).
 """
 from __future__ import annotations
 

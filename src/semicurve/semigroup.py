@@ -38,7 +38,9 @@ from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.monomials import WeightedGrevlexOrder
 
 MAX_GENERATOR = 10 ** 6  # input budget: the b loops of derive and validate run up to m0 steps
-MAX_P = 40  # input budget: gb_verify reduces O(p^4) S-pairs of O(p^2) binomials
+# input budget: gb_verify reduces O(p^4) S-pairs of O(p^2) binomials; on
+# 45, ..., 85; 87 (p = 40, 858 binomials) it takes about 0.5 s in process
+MAX_P = 40
 
 
 class _ArithmeticPart:

@@ -347,6 +347,23 @@ def run_instance(curve, depth=4):
                                failures=tuple(failures), timings_ms=timings)
 
 
+# input budget: enumeration visits about 280,000 candidates a second, so
+# this is about half a minute; Bounds((2,), 200, 200) has 1,980,000
+MAX_CANDIDATES = 10 ** 7
+
+
+def _candidates(p_values, max_mp, max_mn):
+    """The number of candidates enumerate_instances visits, in closed form:
+    over each distinct p, the sum over m0 in 1..max_mp of
+    floor((max_mp - m0)/p) * max_mn, where the sum of floor(t/p) over t in
+    0..max_mp - 1 is p*q*(q - 1)/2 + r*q with (q, r) = divmod(max_mp, p)."""
+    count = 0
+    for p in set(p_values):
+        q, r = divmod(max_mp, p)
+        count += (p * q * (q - 1) // 2 + r * q) * max_mn
+    return count
+
+
 @dataclass(frozen=True)
 class Bounds:
     p_values: tuple
@@ -354,8 +371,9 @@ class Bounds:
     max_mn: int
 
     def __post_init__(self):
-        """Every bound must be at least 1 and every p at most MAX_P; an
-        empty p_values is allowed."""
+        """Every bound must be at least 1, every p at most MAX_P (40), and
+        the candidates to enumerate at most MAX_CANDIDATES (10^7); an empty
+        p_values is allowed."""
         bad = [f"p = {p}" for p in self.p_values if p < 1]
         bad += [f"{name} = {v}" for name, v in (("max_mp", self.max_mp),
                                                 ("max_mn", self.max_mn)) if v < 1]
@@ -363,6 +381,10 @@ class Bounds:
             raise UserInputError("survey bounds must be at least 1: " + ", ".join(bad))
         if max(self.p_values, default=0) > MAX_P:
             raise UserInputError(f"survey p must not exceed {MAX_P}: p = {max(self.p_values)}")
+        count = _candidates(self.p_values, self.max_mp, self.max_mn)
+        if count > MAX_CANDIDATES:
+            raise UserInputError(f"survey bounds give {count:,} candidates, "
+                                 f"more than the budget of {MAX_CANDIDATES:,}")
 
     def to_dict(self):
         return {"p_values": list(self.p_values), "max_mp": self.max_mp,

@@ -245,6 +245,19 @@ def test_survey_rejects_p_above_budget_before_enumerating(capsys, monkeypatch):
     assert code == 1 and "error: survey p must not exceed 40" in err and out == ""
 
 
+def test_survey_rejects_bounds_above_the_candidate_budget(capsys, monkeypatch, tmp_path):
+    def enumerate_instances(bounds):
+        raise AssertionError("enumerated")
+    monkeypatch.setattr(survey_module, "enumerate_instances", enumerate_instances)
+    out_file = tmp_path / "survey.csv"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "survey", "--p", "1", "--max-mp", "100000", "--max-mn",
+                         "100000", "--format", "csv", "--out", str(out_file))
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == "" and not out_file.exists()
+    assert "error: survey bounds give 499,995,000,000,000 candidates" in err
+
+
 @pytest.mark.parametrize("text, code_want", [
     ("999997,999998;2", 1),
     ("999999,1000000;999998", 0),

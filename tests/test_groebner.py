@@ -3,7 +3,7 @@ division oracle.  gb_verify takes weighted-homogeneous binomials only, as
 every curve basis is, so the random bases are drawn homogeneous."""
 import random
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +216,58 @@ def test_gb_verify_matches_oracle_on_random_binomials(case):
     _agrees_with_oracle(basis, WeightedGrevlexOrder(tuple(weights)))
 
 
+_multipliers = st.one_of(st.integers(0, 2 ** 40),
+                        st.integers(1, 40).flatmap(lambda k: st.sampled_from([2 ** k - 1, 2 ** k])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_binomial_bases.flatmap(lambda case: st.tuples(st.just(case), st.lists(
+    _multipliers, min_size=len(case[0]), max_size=len(case[0])))))
+def test_gb_verify_matches_oracle_on_binomials_with_exponents_up_to_2_40(case):
+    # Both terms of every member times one monomial M with exponents up to
+    # 2^40: the reductions are those of the small basis, while the packed
+    # fields hold exponents of up to 42 bits.
+    (weights, pairs), big = case
+    basis = [Polynomial.from_binomial(Binomial(tuple(map(add, u, big)), tuple(map(add, v, big))))
+             for u, v in pairs]
+    _agrees_with_oracle(basis, WeightedGrevlexOrder(tuple(weights)))
+
+
+@pytest.mark.parametrize("k", [4, 8, 40])
+def test_gb_verify_at_the_packing_boundary(k):
+    # x1^N - x0^N and x1^c - x0^c under unit weights, c = 2^(k - 3): every
+    # exponent is at most N, which fills the k bits below the guard bit
+    # when N = 2^k - 1 and needs a field one bit wider when N = 2^k.  The
+    # S-pair x0^c*x1^(N - c) - x0^N is rewritten by x1^c until less than c
+    # of x1 is left: 7 steps to the remainder x0^(7c)*x1^(c - 1) - x0^N
+    # when N = 2^k - 1, and 8 steps to zero when N = 2^k.  The first step
+    # divides an x1 exponent more than half the field above the lead's.
+    order = WeightedGrevlexOrder((1, 1))
+    c = 2 ** (k - 3)
+    for n, want in [(2 ** k - 1, (False, 1, 0, (0, 1), {(7 * c, c - 1): 1, (2 ** k - 1, 0): -1})),
+                    (2 ** k, (True, 1, 0, None, None))]:
+        basis = [Polynomial(2, {(0, e): 1, (e, 0): -1}) for e in (n, c)]
+        assert _fields(gb_verify(basis, order)) == want
+        assert _agrees_with_oracle(basis, order) == want[0]
+
+
+def test_gb_verify_empty_basis():
+    assert _fields(gb_verify([], ORDER)) == (True, 0, 0, None, None)
+
+
+def test_gb_verify_checks_shape_then_arity_then_homogeneity():
+    good = _basis()[0]
+    cases = [
+        (Polynomial(3, {(0, 1, 1): 2, (1, 0, 0): -2}), "binomials"),
+        (Polynomial(3, {(0, 1, 1): 1, (1, 0, 0): -1}), "arity mismatch"),
+        (Polynomial(5, {(0, 1, 1, 0, 0): 1, (1, 0, 0, 0, 0): -1}), "arity mismatch"),
+        (Polynomial(4, {(0, 1, 0, 0): 1, (1, 0, 0, 0): -1}), "weighted-homogeneous"),
+    ]
+    for member, message in cases:
+        with pytest.raises(ValueError, match=message):
+            gb_verify([good, member], ORDER)
+
+
 def _sparse_exponents(n):
     """Exponent lists of arity n with at most n // 2 nonzero entries."""
     return st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=n // 2).map(
@@ -257,6 +309,14 @@ def test_gb_verify_pair_counts_at_p20():
     curve = CurveInstance.parse(",".join(map(str, range(25, 46))) + ";47")
     report = gb_verify(_basis(curve), curve.order())
     assert _fields(report) == (True, 4292, 21586, None, None)
+
+
+def test_gb_verify_pair_counts_at_p40():
+    # 45, 46, ..., 85; 87: 858 binomials in 42 variables, so 42 fields per
+    # packed monomial.
+    curve = CurveInstance.parse(",".join(map(str, range(45, 86))) + ";87")
+    report = gb_verify(_basis(curve), curve.order())
+    assert _fields(report) == (True, 33382, 334271, None, None)
 
 
 def test_leading_ideal_and_scalar_invariance():

@@ -24,6 +24,8 @@ from semicurve.survey import (
     front_half,
     run_instance,
     survey,
+    MAX_CANDIDATES,
+    _candidates,
     _divisor_span,
 )
 from oracles import grevlex_key
@@ -70,6 +72,28 @@ def test_enumeration_keeps_what_validate_accepts():
                   for d in range(1, (25 - m0) // p + 1) for mn in range(1, 26)]
     kept = [CurveInstance(arith, mn) for arith, mn in candidates if validate(arith, mn).ok]
     assert enumerate_instances(Bounds((3, 1, 2), 25, 25)) == (kept, len(candidates) - len(kept))
+
+
+@pytest.mark.parametrize("bounds", [
+    ((1,), 2, 2), ((), 9, 9), ((3, 1, 2), 25, 25), ((2, 2, 5), 13, 7), ((7,), 3, 4),
+    ((1, 2, 3, 4), 30, 3),
+])
+def test_candidate_count_is_what_enumeration_visits(bounds):
+    instances, rejects = enumerate_instances(Bounds(*bounds))
+    assert _candidates(*bounds) == len(instances) + rejects
+
+
+def test_candidate_budget():
+    # The largest bounds the roadmap surveys stay within the budget.
+    assert _candidates((2,), 200, 200) == 1_980_000 <= MAX_CANDIDATES
+    Bounds((2,), 200, 200)
+    Bounds(tuple(range(11, 21)), 60, 60)
+    with pytest.raises(UserInputError, match="499,995,000,000,000 candidates"):
+        Bounds((1,), 100_000, 100_000)
+    # p = 1 and max_mp = 1001 give 500,500 candidates per max_mn.
+    Bounds((1,), 1001, MAX_CANDIDATES // 500_500)
+    with pytest.raises(UserInputError, match="budget of 10,000,000"):
+        Bounds((1,), 1001, MAX_CANDIDATES // 500_500 + 1)
 
 
 def test_empty_bounds_survey():
