@@ -37,7 +37,10 @@ from semicurve.survey import (
     survey,
 )
 
-MAX_DEPTH = 8  # I^(d+1) of 21,22,23,24;16 has 256 generators at d = 4, 1,240 at d = 8
+# A closed ideal whose candidates the bounded test refutes, like that of
+# 21,22,23,24;16, builds no power at any depth; a not-closed one builds up
+# to I^(d+1), and PowerCache refuses one past ratliff_rush.MAX_POWER_GENS.
+MAX_DEPTH = 8
 
 
 class _Parser(argparse.ArgumentParser):

@@ -116,6 +116,8 @@ class MonomialIdeal:
     # -- identity -----------------------------------------------------
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
         return self.arity == other.arity and set(self.gens) == set(other.gens)

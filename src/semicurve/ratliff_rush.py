@@ -2,8 +2,9 @@
 
 The Ratliff-Rush closure of a regular ideal I is the union of the colon
 ideals I^(k+1) : I^k over all k >= 1; I is closed when the union adds
-nothing.  Only finitely many depths are ever inspected here, so a closed
-verdict is always labelled evidence, never proof.  A not-closed verdict,
+nothing.  A closed verdict is always labelled evidence: the chain
+inspects finitely many depths, and where the bounded test below proves
+more, the reports do not say so yet.  A not-closed verdict,
 by contrast, is final: it carries a witness monomial that certify_witness
 re-checks with two membership engines, the divisibility scan over the
 built powers and the generic colon, neither of which found it.
@@ -20,22 +21,43 @@ not primary, pays for the generic colon.
 
 The chain ascends, J_1 <= J_2 <= ... (s * I^k <= I^(k+1) gives
 s * I^(k+1) <= I^(k+2)), so each row of the table is False up to some
-depth and True from there on.  socle_probe fills a row from the top
-depth down: one failed test there decides the whole row, which is the
-only test a closed ideal makes per candidate.  A test at depth k asks
-whether c * g lies in I^(k+1) for every generator g of I^k, through
-kernels.power_membership, which reads only the generators of I: m lies
-in I^(k+1) iff some generator h of I divides m with m - h in I^k.  The
-pure powers h^k are tried before the rows of I^k, which are built only
-when every pure power passes.  On every ideal of the acceptance corpus a
-pure power fails each test, so probing them builds no power.  The
-powers are kept as plain kernel rows, which only the generic colon wraps
-in MonomialIdeals.
+depth and True from there on.
+
+The bounded test settles most rows with at most one pure-power query per
+variable.  Let x_i^a be the pure power of x_i among the generators, s
+the degree of a candidate c in the other variables, and
+K = max(1, s - 1).  If c lies in the closure, then c lies in J_k for
+every large k (the chain ascends), so c * x_i^(ak) lies in I^(k+1).
+Every generator but x_i^a uses some x_j with j != i, so a product of
+k + 1 generators dividing c * x_i^(ak) has at most s factors other than
+x_i^a, and while k >= s one factor x_i^a cancels: c * x_i^(a(k-1)) lies
+in I^k.  Descending, c * x_i^(aK) lies in I^(K+1) (Ratliff-Rush's union
+and the chain argument that Heinzer, Lantz and Shah build on).  So if it
+does not, for some i, c lies in no J_k and its row is False at every
+depth.
+socle_probe asks at min(K, depth) instead, so that no query reaches past
+I^(depth+1): c in J_depth would put c * x_i^(a*depth) in I^(depth+1)
+too, so a failure there still makes the row False.  Every candidate of
+the acceptance corpus is refuted, 96% of them at K = 1, so no closed
+corpus ideal builds a power.  Where K <= depth the refutation holds at every
+depth, but the verdict keeps the CLOSED_EVIDENCE label until the reports
+carry a flag for proved ideals.
+
+A candidate that no pure power refutes is tested per depth, from the top
+depth down: one failed test there decides the whole row.  A test at
+depth k asks whether c * g lies in I^(k+1) for every generator g of I^k,
+through kernels.power_membership, which reads only the generators of I:
+m lies in I^(k+1) iff some generator h of I divides m with m - h in I^k.
+The pure powers h^k are tried before the rows of I^k, which are built
+only when every pure power passes, and PowerCache builds no power beyond
+the budget MAX_POWER_GENS.  The powers are kept as plain kernel rows,
+which only the generic colon wraps in MonomialIdeals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from operator import add
 
 from semicurve import kernels
@@ -47,6 +69,14 @@ from semicurve.monomials import descending
 class Verdict(Enum):
     CLOSED_EVIDENCE = "CLOSED_EVIDENCE"
     NOT_CLOSED = "NOT_CLOSED"
+
+
+# input budget on the powers built: I^k of an ideal with n generators has
+# at most C(n + k - 1, k) generators, one per multiset of k of them, and
+# PowerCache.get refuses to build a power whose bound exceeds this.  The
+# corpus builds no power at depths up to cli.MAX_DEPTH; the largest that
+# the tests build is I^4 of a 17-generator gapped ideal, C(20, 4) = 4,845.
+MAX_POWER_GENS = 20_000
 
 
 class PowerCache:
@@ -65,6 +95,13 @@ class PowerCache:
     def get(self, k):
         if k < 1:
             raise ValueError(f"power index must be at least 1, got {k}")
+        if len(self._powers) <= k:
+            n = len(self.ideal.gens)
+            bound = comb(n + k - 1, k)
+            if bound > MAX_POWER_GENS:
+                raise UserInputError(
+                    f"I^{k} of an ideal with {n} generators may have up to {bound:,} "
+                    f"generators, more than the budget of {MAX_POWER_GENS:,}")
         while len(self._powers) <= k:
             self._powers.append(kernels.pairwise_product(self._powers[-1], self.ideal.gens))
         return self._powers[k]
@@ -79,15 +116,20 @@ class PowerCache:
         return self._colons[k]
 
 
+def _pure_powers(ideal):
+    """{i: a} for each pure power x_i^a among the generators."""
+    pure = {}
+    for g in ideal.gens:
+        a = max(g)
+        if a and sum(g) == a:   # one nonzero exponent
+            pure[g.index(a)] = a
+    return pure
+
+
 def _missing_pure_power(ideal):
     """Index of a variable with no pure power among the generators, or None."""
-    for i in range(ideal.arity):
-        for g in ideal.gens:
-            if g[i] > 0 and all(e == 0 for j, e in enumerate(g) if j != i):
-                break
-        else:
-            return i
-    return None
+    pure = _pure_powers(ideal)
+    return next((i for i in range(ideal.arity) if i not in pure), None)
 
 
 def primary_to_max(ideal):
@@ -146,6 +188,22 @@ def _power_rows(gens, powers, k):
     yield from powers.get(k)
 
 
+def _refuted(c, pure, contains, depth):
+    """The bounded test: True iff c * x_i^(a*K) lies outside I^(K+1) for
+    some variable x_i, where x_i^a is the pure power of I (a = pure[i]),
+    K = min(max(1, s - 1), depth) and s is the degree of c in the other
+    variables.  Then c lies in no J_k with k <= depth, and in no J_k at
+    all when s - 1 <= depth (see the module docstring).  contains is the
+    power_membership predicate of I.  The variables are tried from the
+    largest exponent of c down, whose K is the smallest."""
+    total = sum(c)
+    for i in sorted(range(len(c)), key=c.__getitem__, reverse=True):
+        k = min(max(1, total - c[i] - 1), depth)
+        if not contains(c[:i] + (c[i] + pure[i] * k,) + c[i + 1:], k + 1):
+            return True
+    return False
+
+
 def certify_witness(ideal, witness, k, powers):
     """Re-verify a not-closed witness with both membership engines: it must
     lie outside I, scale I^k into I^(k+1) by the divisibility scan over the
@@ -187,9 +245,12 @@ def rr_chain(ideal, depth, powers=None, probe=None):
         raise UserInputError("colon chain needs a proper nonzero ideal")
     if powers is None:
         powers = PowerCache(ideal)
+    # per depth: does some candidate pass there (always asked without a probe)
+    grown = ((True,) * depth if probe is None
+             else tuple(map(any, zip(*probe.membership_table))) or (False,) * depth)
     chain = []
     for k in range(1, depth + 1):
-        if probe is None or any(row[k - 1] for row in probe.membership_table):
+        if grown[k - 1]:
             j_k = powers.colon(k)
             if probe is not None and j_k == ideal:
                 raise InternalCheckError(f"a socle candidate passes at depth {k} but J_{k} = I")
@@ -234,7 +295,7 @@ class SocleProbeReport:
     degenerate: bool = False     # unit monomial among candidates (I : vars = (1))
 
 
-def socle_probe(ideal, depth, powers=None):
+def socle_probe(ideal, depth, powers=None, candidates=None):
     """Probe every socle-complement candidate against the colon chain.
 
     A candidate passing c * I^k <= I^(k+1) at any k <= depth lies in the
@@ -243,21 +304,33 @@ def socle_probe(ideal, depth, powers=None):
     passed and the verdict is CLOSED_EVIDENCE.  The table is the stage's
     one membership pass: rr_chain reads J_k = I off it.
 
-    Each row is filled from the top depth down: a candidate that fails at
-    depth fails at every lower depth, and one that passes is tested one
-    depth lower until a test fails, so every row is exact (see the module
-    docstring).  One power_membership predicate serves every test, and
-    a test reads the rows of I^k only after every pure power h^k passes,
-    so a row decided by the pure powers alone builds no power."""
+    First the bounded test (_refuted) asks, for each variable x_i with
+    pure power x_i^a, whether c * x_i^(aK) lies in I^(K+1), with
+    K = min(max(1, s - 1), depth) and s the degree of c outside x_i.  If
+    not, c lies in no J_k with k <= depth, and in no J_k at all when
+    s - 1 <= depth, since a factor x_i^a of any product of more than s
+    generators dividing c * x_i^(ak) cancels (see the module docstring):
+    its row is all False with no per-depth test.  Every other row is
+    filled from the top depth down: a candidate that fails at depth fails
+    at every lower depth, and one that passes is tested one depth lower
+    until a test fails, so every row is exact.  One power_membership
+    predicate serves every test, and a test reads the rows of I^k only
+    after every pure power h^k passes, so a row decided by the pure
+    powers alone builds no power.
+
+    candidates, when given, must equal socle_complement(ideal), which is
+    computed otherwise (survey.run_instance passes its colon by x1..xn)."""
     if depth < 1:
         raise UserInputError("probe depth must be at least 1")
     if ideal.is_zero or ideal.is_unit:
         raise UserInputError("socle probe needs a proper nonzero ideal")
     if powers is None:
         powers = PowerCache(ideal)
-    candidates = socle_complement(ideal)
+    if candidates is None:
+        candidates = socle_complement(ideal)
     degenerate = (0,) * ideal.arity in candidates
     contains = kernels.power_membership(ideal.gens)
+    pure = _pure_powers(ideal)
 
     def passes(c, k):   # c * I^k <= I^(k+1)
         return all(contains(tuple(map(add, c, g)), k + 1)
@@ -265,6 +338,9 @@ def socle_probe(ideal, depth, powers=None):
 
     table = []
     for c in candidates:
+        if _refuted(c, pure, contains, depth):
+            table.append((False,) * depth)
+            continue
         k = depth
         while k and passes(c, k):
             k -= 1
@@ -305,7 +381,7 @@ def verdict_payload(depth, chain=None, probe=None):
     return payload
 
 
-def run_stage(ideal, depth):
+def run_stage(ideal, depth, candidates=None):
     """The Ratliff-Rush stage: (chain, probe) over one shared PowerCache.
 
     The probe runs first, and only when the ideal is primary to the
@@ -318,8 +394,10 @@ def run_stage(ideal, depth):
     passes, and at a depth where one passes it takes the generic colon
     and raises InternalCheckError if that colon is I.  So the chain is
     NOT_CLOSED exactly when some table entry is True, which is exactly
-    when the probe is, and both witnesses sit at the first such depth."""
+    when the probe is, and both witnesses sit at the first such depth.
+    candidates goes to socle_probe as it is."""
     powers = PowerCache(ideal)
-    probe = socle_probe(ideal, depth, powers=powers) if primary_to_max(ideal) else None
+    probe = (socle_probe(ideal, depth, powers=powers, candidates=candidates)
+             if primary_to_max(ideal) else None)
     return rr_chain(ideal, depth, powers=powers, probe=probe), probe
 

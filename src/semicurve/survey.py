@@ -330,13 +330,23 @@ def front_half(curve):
 
 
 def run_instance(curve, depth=4):
-    """Full pipeline on one instance; raises UserInputError on bad input."""
+    """Full pipeline on one instance; raises UserInputError on bad input.
+
+    When x0 alone is unused, which holds for every curve's initial ideal,
+    the Ratliff-Rush stage takes its socle candidates from the comparator's
+    colon by x1..xn (SOCLE_RHO_CHI) with the x0 exponent dropped: that is
+    socle_complement of the reduced ideal, in the same order, so the colon
+    is walked once."""
     front = front_half(curve)
     failures = list(front.failures)
 
     t0 = time.perf_counter()
     reduced, dropped = reduce_variables(front.in_ideal_computed)
-    rr, probe = run_stage(reduced, depth)
+    candidates = None
+    if dropped == (0,):
+        socle = next(c for c in front.colon if c.selector is ClosedForm.SOCLE_RHO_CHI)
+        candidates = tuple(m[1:] for m in socle.engine)
+    rr, probe = run_stage(reduced, depth, candidates=candidates)
     timings = {**front.timings_ms, "rr": (time.perf_counter() - t0) * 1000.0}
     if rr.verdict is not Verdict.CLOSED_EVIDENCE:
         failures.append(f"colon chain verdict {rr.verdict.value}")

@@ -5,6 +5,7 @@ loops and sets, so package outputs can be cross-checked against a second,
 dumber implementation.  No imports from semicurve.
 """
 
+import functools
 import heapq
 import math
 
@@ -188,6 +189,28 @@ def power_gens(gens, k):
     for _ in range(k):
         rows = sorted(set(product_gens(rows, gens)))
     return rows
+
+
+def pure_power_in_power(c, i, a, K, gens):
+    """True iff c * x_i^(a*K) lies in (gens)^(K+1), by definition: some K+1
+    generators, repeats allowed, sum to at most that monomial in every
+    coordinate.  A bounded knapsack over the multiplicity of each
+    generator, most first, memoized on (generator, factors left, room)."""
+    room = list(c)
+    room[i] += a * K
+    gens = sorted(set(map(tuple, gens)))
+
+    @functools.lru_cache(maxsize=None)
+    def fits(start, count, room):
+        if count == 0:
+            return True
+        if start == len(gens):
+            return False
+        g = gens[start]
+        most = min([count] + [r // e for r, e in zip(room, g) if e])
+        return any(fits(start + 1, count - n, tuple(r - n * e for r, e in zip(room, g)))
+                   for n in range(most, -1, -1))
+    return fits(0, K + 1, tuple(room))
 
 
 # -- Groebner division over the rationals --------------------------------

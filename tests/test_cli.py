@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, exit codes, JSON payloads, files."""
 import json
+import math
 import time
 import tracemalloc
 
 import pytest
 
-from semicurve import cli
+from semicurve import cli, ratliff_rush
 from semicurve import survey as survey_module
 
 W = "5,8,11;7"
@@ -256,6 +257,31 @@ def test_survey_rejects_bounds_above_the_candidate_budget(capsys, monkeypatch, t
     assert time.perf_counter() - t0 < 1
     assert code == 1 and out == "" and not out_file.exists()
     assert "error: survey bounds give 499,995,000,000,000 candidates" in err
+
+
+# All 55 monomials of degree 5 in 4 variables but x0^2*x1^2*x2: NOT_CLOSED,
+# so the chain takes the generic colon, and I^(k+1), at every depth.
+DEGREE_5_BUT_ONE = json.dumps({"arity": 4, "gens": [
+    [a, b, c, 5 - a - b - c] for a in range(6) for b in range(6 - a)
+    for c in range(6 - a - b) if (a, b, c) != (2, 2, 1)]})
+
+
+@pytest.mark.parametrize("depth", ["4", str(cli.MAX_DEPTH)])
+def test_power_above_budget_exits_1_at_once(capsys, depth):
+    # The probe asks for I^depth first, which may have C(54 + depth, depth)
+    # generators, 424,270 at depth 4: over the budget, so rr exits before
+    # building it (building the powers took 26 s at depth 4, and did not
+    # end in 60 s at depth 8).  At depth 1 it needs only I^2.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "rr", "--depth", depth, DEGREE_5_BUT_ONE)
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and out == ""
+    bound = math.comb(54 + int(depth), int(depth))
+    assert err == (f"error: I^{depth} of an ideal with 55 generators may have up to "
+                   f"{bound:,} generators, more than the budget of "
+                   f"{ratliff_rush.MAX_POWER_GENS:,}\n")
+    code, out, _ = run(capsys, "rr", "--json", "--depth", "1", DEGREE_5_BUT_ONE)
+    assert code == 3 and json.loads(out)["witness"] == [2, 2, 1, 0]
 
 
 @pytest.mark.parametrize("text, code_want", [

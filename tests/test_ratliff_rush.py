@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicurve import kernels, ratliff_rush
@@ -36,6 +36,7 @@ from oracles import (
     monomials_upto,
     power_gens,
     product_gens,
+    pure_power_in_power,
     standard_monomials,
 )
 
@@ -205,8 +206,8 @@ def _counting(monkeypatch, owner, name):
 
 
 def _counting_queries(monkeypatch):
-    """Make every kernels.power_membership predicate record the power j of
-    each query from outside the kernel; return the list of them."""
+    """Make every kernels.power_membership predicate record each query
+    (m, j) from outside the kernel; return the list of them."""
     queries = []
     build = kernels.power_membership
 
@@ -214,19 +215,38 @@ def _counting_queries(monkeypatch):
         contains = build(gens)
 
         def counted(m, j):
-            queries.append(j)
+            queries.append((m, j))
             return contains(m, j)
         return counted
     monkeypatch.setattr(kernels, "power_membership", counted_build)
     return queries
 
 
+def _pure_exponents(gens):
+    """{i: a} for each pure power x_i^a among gens."""
+    return {i: g[i] for g in gens for i in range(len(g))
+            if g[i] and sum(g) == g[i]}
+
+
+def _bounded_tests(c, pure, depth=None):
+    """(i, a, K) per pure power x_i^a: the bounded test asks whether
+    c * x_i^(aK) lies in I^(K+1), K = max(1, s - 1) for s the degree of c
+    outside x_i, at most depth when one is given."""
+    for i, a in pure.items():
+        K = max(1, sum(c) - c[i] - 1)
+        yield i, a, K if depth is None else min(K, depth)
+
+
+def _raised(c, i, e):
+    return c[:i] + (c[i] + e,) + c[i + 1:]
+
+
 def test_run_stage_makes_one_membership_pass(monkeypatch):
     # The chain reads J_k = I off the probe's table, and takes no colon.
-    # Every candidate fails at the top depth on a pure power h^4, which
-    # decides its row: four queries, all for I^5 (one candidate passes
-    # the first pure power it meets), and no power is read, so none is
-    # built, neither by the probe nor by a certificate's scan.
+    # The bounded test refutes every candidate: each query is one of its
+    # c * x_i^(aK) in I^(K+1), at least one per candidate, and no power is
+    # read, so none is built, neither by the probe nor by a certificate's
+    # scan.
     ideal = _w_reduced()
     queries = _counting_queries(monkeypatch)
     kernels_built = _counting(monkeypatch, kernels, "power_membership")
@@ -237,10 +257,103 @@ def test_run_stage_makes_one_membership_pass(monkeypatch):
     row_products = _counting(monkeypatch, kernels, "pairwise_product")
     chain, probe = run_stage(ideal, 4)
     assert len(probe.candidates) == 3
-    assert kernels_built[0] == 1 and queries == [5] * 4
+    pure = _pure_exponents(ideal.gens)
+    targets = {c: {_raised(c, i, a * K): K + 1 for i, a, K in _bounded_tests(c, pure)}
+               for c in probe.candidates}
+    assert kernels_built[0] == 1
+    assert all(any(t.get(m) == j for t in targets.values()) for m, j in queries)
+    assert all(any(t.get(m) == j for m, j in queries) for t in targets.values())
     assert reads[0] == 0 and scans[0] == 0 and colons[0] == 0
     assert products[0] == 0 and row_products[0] == 0
     assert chain.chain_equal == (True,) * 4
+
+
+def test_run_instance_takes_the_candidates_from_the_socle_colon(corpus, monkeypatch):
+    # A curve's initial ideal never uses x0, so the comparator's colon by
+    # x1..xn gives the candidates, in socle_complement's order.  Rerun, a
+    # sample of instances walks no colon again, and no corpus stage reads
+    # a power.
+    for rep in corpus.instances:
+        assert rep.dropped_vars == (0,)
+        assert rep.probe.candidates == socle_complement(rep.rr.ideal)
+    sample = corpus.instances[::24]
+    walks = _counting(monkeypatch, ratliff_rush, "socle_complement")
+    reads = _counting(monkeypatch, PowerCache, "get")
+    reruns = [run_instance(rep.instance, rep.rr.depth) for rep in sample]
+    assert walks[0] == 0
+    stages = [run_stage(rep.rr.ideal, rep.rr.depth, candidates=rep.probe.candidates)
+              for rep in corpus.instances]
+    assert reads[0] == 0
+    monkeypatch.undo()
+    for rep, rerun in zip(sample, reruns):
+        assert rerun.probe.candidates == rep.probe.candidates
+    for rep, (chain, probe) in zip(corpus.instances, stages):
+        assert probe.membership_table == rep.probe.membership_table
+
+
+def _refuted_by_oracle(c, gens, depth=None):
+    """Some x_i^a refutes c by the knapsack oracle, K as in _bounded_tests."""
+    return any(not pure_power_in_power(c, i, a, K, gens)
+               for i, a, K in _bounded_tests(c, _pure_exponents(gens), depth))
+
+
+def test_bounded_test_matches_oracle_on_corpus(corpus):
+    # Every corpus candidate is refuted, by the kernel and by the knapsack
+    # oracle alike, and each pure power answers the same in both.
+    count = 0
+    for rep in corpus.instances:
+        gens = rep.rr.ideal.gens
+        pure = _pure_exponents(gens)
+        contains = kernels.power_membership(gens)
+        for c in rep.probe.candidates:
+            assert ratliff_rush._refuted(c, pure, contains, rep.rr.depth)
+            for i, a, K in _bounded_tests(c, pure):
+                assert contains(_raised(c, i, a * K), K + 1) is pure_power_in_power(
+                    c, i, a, K, gens)
+            assert _refuted_by_oracle(c, gens)
+            count += 1
+    assert count == 9543
+
+
+def test_bounded_test_never_refutes_the_witness():
+    # (2, 2) lies in J_1 of the negative control, so no pure power may
+    # refute it, at any depth cap or none.
+    gens = NEGATIVE_CONTROL.gens
+    pure = _pure_exponents(gens)
+    contains = kernels.power_membership(gens)
+    for depth in range(1, 9):
+        assert not ratliff_rush._refuted((2, 2), pure, contains, depth)
+        assert not _refuted_by_oracle((2, 2), gens, depth)
+    assert not _refuted_by_oracle((2, 2), gens)
+
+
+def test_bounded_test_asks_past_the_first_power():
+    # x^2 y^6 lies in J_2 of this ideal, yet x^2 y^6 * x^8 is not in I^2:
+    # a query at K = 1 would refute it wrongly.  Its degree in y is 6, so
+    # the x query is at K = 5, where it passes (at depth 4 it asks K = 4).
+    ideal = MonomialIdeal(2, [(8, 0), (6, 2), (3, 5), (1, 7), (0, 8)])
+    c, gens = (2, 6), ideal.gens
+    contains = kernels.power_membership(gens)
+    assert not contains((10, 6), 2) and not pure_power_in_power(c, 0, 8, 1, gens)
+    assert pure_power_in_power(c, 0, 8, 5, gens)
+    assert not ratliff_rush._refuted(c, {0: 8, 1: 8}, contains, 4)
+    probe = socle_probe(ideal, 4)
+    assert probe.membership_table[probe.candidates.index(c)] == (False, True, True, True)
+
+
+def test_bounded_test_refutes_an_integral_element():
+    # xy is integral over (x^2, y^2), since (xy)^2 lies in I^2, yet
+    # xy * x^2 = x^3 y is not in I^2 = (x^4, x^2 y^2, y^4): the bounded
+    # test refutes it, so it lies outside the Ratliff-Rush closure.
+    ideal = MonomialIdeal(2, [(2, 0), (0, 2)])
+    gens = ideal.gens
+    assert in_ideal((2, 2), power_gens(list(gens), 2)) and not in_ideal((1, 1), gens)
+    assert not pure_power_in_power((1, 1), 0, 2, 1, gens)
+    assert ratliff_rush._refuted((1, 1), {0: 2, 1: 2}, kernels.power_membership(gens), 5)
+    probe = socle_probe(ideal, 5)
+    assert probe.candidates == ((1, 1),)
+    assert probe.membership_table == ((False,) * 5,)
+    assert probe.verdict is Verdict.CLOSED_EVIDENCE
 
 
 def test_a_passing_test_reads_the_power(monkeypatch):
@@ -502,6 +615,38 @@ def test_probe_table_decides_the_chain(ideal):
     assert list(chain.chain_equal) == [
         not any(row[k] for row in probe.membership_table) for k in range(3)]
     assert probe.membership_table == _oracle_table(ideal, probe.candidates, 3)
+
+
+@st.composite
+def _small_primary_ideals(draw):
+    """Primary ideals in 2 to 4 variables: a pure power x_i^a per variable,
+    a in D..D+1, plus up to four mixed monomials of degree D, D in 2..4
+    (2..3 in 4 variables), and up to one further monomial with no exponent
+    above 3."""
+    arity = draw(st.integers(2, 4))
+    top = draw(st.integers(2, 3 if arity == 4 else 4))
+    pure = [tuple(draw(st.integers(top, top + 1)) if j == i else 0 for j in range(arity))
+            for i in range(arity)]
+    mixed = [m for m in itertools.product(range(top), repeat=arity) if sum(m) == top]
+    extra = st.tuples(*[st.integers(0, 3)] * arity).filter(any)
+    return MonomialIdeal(arity, pure + draw(st.lists(st.sampled_from(mixed), max_size=4))
+                         + draw(st.lists(extra, max_size=1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_small_primary_ideals(), st.integers(1, 5))
+@example(NEGATIVE_CONTROL, 5)
+@example(MonomialIdeal(2, [(8, 0), (6, 2), (3, 5), (1, 7), (0, 8)]), 4)
+@example(MonomialIdeal(3, [(4, 0, 0), (0, 4, 0), (0, 0, 4), (3, 0, 1), (1, 0, 3),
+                           (1, 1, 2), (1, 2, 1)]), 3)
+def test_bounded_test_refutes_only_rows_without_a_pass(ideal, depth):
+    # The table is exact at every depth, and a candidate that some pure
+    # power refutes, at the depth cap or past it, passes at no depth.
+    probe = socle_probe(ideal, depth)
+    assert probe.membership_table == _oracle_table(ideal, probe.candidates, depth)
+    for c, row in zip(probe.candidates, probe.membership_table):
+        if _refuted_by_oracle(c, ideal.gens) or _refuted_by_oracle(c, ideal.gens, depth):
+            assert True not in row
 
 
 def test_standard_monomials_give_the_apery_set(corpus):
