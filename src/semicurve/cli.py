@@ -39,7 +39,7 @@ from semicurve.survey import (
 
 # A closed ideal whose candidates the bounded test refutes, like that of
 # 21,22,23,24;16, builds no power at any depth; a not-closed one builds up
-# to I^(d+1), and PowerCache refuses one past ratliff_rush.MAX_POWER_GENS.
+# to I^(d+1), and PowerCache refuses one past ratliff_rush.MAX_POWER_PRODUCTS.
 MAX_DEPTH = 8
 
 

@@ -34,14 +34,13 @@ x_i^a, and while k >= s one factor x_i^a cancels: c * x_i^(a(k-1)) lies
 in I^k.  Descending, c * x_i^(aK) lies in I^(K+1) (Ratliff-Rush's union
 and the chain argument that Heinzer, Lantz and Shah build on).  So if it
 does not, for some i, c lies in no J_k and its row is False at every
-depth.
-socle_probe asks at min(K, depth) instead, so that no query reaches past
-I^(depth+1): c in J_depth would put c * x_i^(a*depth) in I^(depth+1)
-too, so a failure there still makes the row False.  Every candidate of
-the acceptance corpus is refuted, 96% of them at K = 1, so no closed
-corpus ideal builds a power.  Where K <= depth the refutation holds at every
-depth, but the verdict keeps the CLOSED_EVIDENCE label until the reports
-carry a flag for proved ideals.
+depth.  socle_probe asks at min(K, depth) instead, so that no query
+reaches past I^(depth+1): c in J_depth would put c * x_i^(a*depth) in
+I^(depth+1) too, so a failure there still makes the row False.  Every
+candidate of the acceptance corpus is refuted, 96% of them at K = 1, so
+no closed corpus ideal builds a power.  Where K <= depth the refutation
+holds at every depth, but the verdict keeps the CLOSED_EVIDENCE label
+until the reports carry a flag for proved ideals.
 
 A candidate that no pure power refutes is tested per depth, from the top
 depth down: one failed test there decides the whole row.  A test at
@@ -50,14 +49,13 @@ through kernels.power_membership, which reads only the generators of I:
 m lies in I^(k+1) iff some generator h of I divides m with m - h in I^k.
 The pure powers h^k are tried before the rows of I^k, which are built
 only when every pure power passes, and PowerCache builds no power beyond
-the budget MAX_POWER_GENS.  The powers are kept as plain kernel rows,
+the budget MAX_POWER_PRODUCTS.  The powers are kept as plain kernel rows,
 which only the generic colon wraps in MonomialIdeals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
 from operator import add
 
 from semicurve import kernels
@@ -71,12 +69,12 @@ class Verdict(Enum):
     NOT_CLOSED = "NOT_CLOSED"
 
 
-# input budget on the powers built: I^k of an ideal with n generators has
-# at most C(n + k - 1, k) generators, one per multiset of k of them, and
-# PowerCache.get refuses to build a power whose bound exceeds this.  The
-# corpus builds no power at depths up to cli.MAX_DEPTH; the largest that
-# the tests build is I^4 of a 17-generator gapped ideal, C(20, 4) = 4,845.
-MAX_POWER_GENS = 20_000
+# input budget on the powers built: I^k is the product of the rows of
+# I^(k-1) with the n generators, and PowerCache.get refuses to form more
+# than this many products for one power.  The corpus builds no power at
+# depths up to cli.MAX_DEPTH; the most the tests form for one power is
+# 2,261, for I^4 of a 17-generator gapped ideal (133 rows of I^3 times 17).
+MAX_POWER_PRODUCTS = 20_000
 
 
 class PowerCache:
@@ -95,15 +93,14 @@ class PowerCache:
     def get(self, k):
         if k < 1:
             raise ValueError(f"power index must be at least 1, got {k}")
-        if len(self._powers) <= k:
-            n = len(self.ideal.gens)
-            bound = comb(n + k - 1, k)
-            if bound > MAX_POWER_GENS:
-                raise UserInputError(
-                    f"I^{k} of an ideal with {n} generators may have up to {bound:,} "
-                    f"generators, more than the budget of {MAX_POWER_GENS:,}")
+        gens = self.ideal.gens
         while len(self._powers) <= k:
-            self._powers.append(kernels.pairwise_product(self._powers[-1], self.ideal.gens))
+            products = len(self._powers[-1]) * len(gens)
+            if products > MAX_POWER_PRODUCTS:
+                raise UserInputError(
+                    f"I^{len(self._powers)} of an ideal with {len(gens)} generators takes "
+                    f"{products:,} products, more than the budget of {MAX_POWER_PRODUCTS:,}")
+            self._powers.append(kernels.pairwise_product(self._powers[-1], gens))
         return self._powers[k]
 
     def colon(self, k):

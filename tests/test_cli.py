@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, exit codes, JSON payloads, files."""
 import json
-import math
 import time
 import tracemalloc
 
@@ -268,20 +267,27 @@ DEGREE_5_BUT_ONE = json.dumps({"arity": 4, "gens": [
 
 @pytest.mark.parametrize("depth", ["4", str(cli.MAX_DEPTH)])
 def test_power_above_budget_exits_1_at_once(capsys, depth):
-    # The probe asks for I^depth first, which may have C(54 + depth, depth)
-    # generators, 424,270 at depth 4: over the budget, so rr exits before
-    # building it (building the powers took 26 s at depth 4, and did not
-    # end in 60 s at depth 8).  At depth 1 it needs only I^2.
+    # I^2 and I^3 have 286 and 816 rows, so I^4 takes 816 * 55 = 44,880
+    # products: over the budget, so rr exits before forming it (building the
+    # powers took 26 s at depth 4, and did not end in 60 s at depth 8).
+    # At depth 1 it needs only I^2.
     t0 = time.perf_counter()
     code, out, err = run(capsys, "rr", "--depth", depth, DEGREE_5_BUT_ONE)
     assert time.perf_counter() - t0 < 1
     assert code == 1 and out == ""
-    bound = math.comb(54 + int(depth), int(depth))
-    assert err == (f"error: I^{depth} of an ideal with 55 generators may have up to "
-                   f"{bound:,} generators, more than the budget of "
-                   f"{ratliff_rush.MAX_POWER_GENS:,}\n")
+    assert err == ("error: I^4 of an ideal with 55 generators takes 44,880 products, "
+                   f"more than the budget of {ratliff_rush.MAX_POWER_PRODUCTS:,}\n")
     code, out, _ = run(capsys, "rr", "--json", "--depth", "1", DEGREE_5_BUT_ONE)
     assert code == 3 and json.loads(out)["witness"] == [2, 2, 1, 0]
+
+
+def test_power_budget_counts_rows_not_multisets_of_generators(capsys):
+    # 20 monomials of degree 20 in two variables: C(28, 9) = 6,906,900
+    # products of 9 generators, but I^8 has 161 rows, so I^9 takes 3,220.
+    ideal = json.dumps({"arity": 2, "gens": [[i, 20 - i] for i in range(21) if i != 10]})
+    code, out, err = run(capsys, "rr", "--json", "--depth", str(cli.MAX_DEPTH), ideal)
+    assert code == 3 and err == ""
+    assert json.loads(out)["chain_equal"] == [False] * cli.MAX_DEPTH
 
 
 @pytest.mark.parametrize("text, code_want", [
