@@ -123,10 +123,12 @@ def _pure_powers(ideal):
     return pure
 
 
-def _missing_pure_power(ideal):
-    """Index of a variable with no pure power among the generators, or None."""
-    pure = _pure_powers(ideal)
-    return next((i for i in range(ideal.arity) if i not in pure), None)
+def _require_primary(ideal, pure):
+    """Raise unless pure, the _pure_powers of ideal, holds every variable."""
+    missing = next((i for i in range(ideal.arity) if i not in pure), None)
+    if missing is not None:
+        raise UserInputError(
+            f"ideal is not primary to the maximal ideal: no pure power of x{missing}")
 
 
 def primary_to_max(ideal):
@@ -134,7 +136,7 @@ def primary_to_max(ideal):
 
     For monomial ideals this is equivalent to being primary to the maximal
     monomial ideal."""
-    return _missing_pure_power(ideal) is None
+    return len(_pure_powers(ideal)) == ideal.arity
 
 
 def reduce_variables(ideal):
@@ -161,12 +163,13 @@ def socle_complement(ideal):
     finiteness argument needs the quotient by I to have finite length."""
     if ideal.is_zero or ideal.is_unit:
         raise UserInputError("socle complement needs a proper nonzero ideal")
-    missing = _missing_pure_power(ideal)
-    if missing is not None:
-        raise UserInputError(
-            f"ideal is not primary to the maximal ideal: no pure power of x{missing}")
-    residues = kernels.colon_residues(ideal.gens, range(ideal.arity))
-    return descending(residues, ideal.weights)
+    _require_primary(ideal, _pure_powers(ideal))
+    return _socle_walk(ideal)
+
+
+def _socle_walk(ideal):
+    """socle_complement past its checks."""
+    return descending(kernels.colon_residues(ideal.gens, range(ideal.arity)), ideal.weights)
 
 
 def scaled_in_power(mono, rows_k, rows_k1):
@@ -317,6 +320,11 @@ def socle_probe(ideal, depth, powers=None, candidates=None):
 
     candidates, when given, must equal socle_complement(ideal), which is
     computed otherwise (survey.run_instance passes its colon by x1..xn)."""
+    return _probe(ideal, depth, powers, candidates, _pure_powers(ideal))
+
+
+def _probe(ideal, depth, powers, candidates, pure):
+    """socle_probe, given pure = _pure_powers(ideal)."""
     if depth < 1:
         raise UserInputError("probe depth must be at least 1")
     if ideal.is_zero or ideal.is_unit:
@@ -324,10 +332,10 @@ def socle_probe(ideal, depth, powers=None, candidates=None):
     if powers is None:
         powers = PowerCache(ideal)
     if candidates is None:
-        candidates = socle_complement(ideal)
+        _require_primary(ideal, pure)
+        candidates = _socle_walk(ideal)
     degenerate = (0,) * ideal.arity in candidates
     contains = kernels.power_membership(ideal.gens)
-    pure = _pure_powers(ideal)
 
     def passes(c, k):   # c * I^k <= I^(k+1)
         return all(contains(tuple(map(add, c, g)), k + 1)
@@ -392,9 +400,12 @@ def run_stage(ideal, depth, candidates=None):
     and raises InternalCheckError if that colon is I.  So the chain is
     NOT_CLOSED exactly when some table entry is True, which is exactly
     when the probe is, and both witnesses sit at the first such depth.
-    candidates goes to socle_probe as it is."""
+    candidates goes to socle_probe as it is.  The generators are scanned
+    for pure powers once, for the primary test and the probe's bounded
+    test both."""
     powers = PowerCache(ideal)
-    probe = (socle_probe(ideal, depth, powers=powers, candidates=candidates)
-             if primary_to_max(ideal) else None)
+    pure = _pure_powers(ideal)
+    probe = (_probe(ideal, depth, powers, candidates, pure)
+             if len(pure) == ideal.arity else None)
     return rr_chain(ideal, depth, powers=powers, probe=probe), probe
 

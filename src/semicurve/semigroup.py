@@ -26,6 +26,10 @@ Both `derive` and `validate` read A through these residues
   uses m_i, a nonzero element of A is at least m0, and P*mn = lcm(m0, mn)
   lies in A, so a b > P reduces to b - P.
 - mn is redundant iff it lies in A.
+Past the budgets, only gcd 1 and minimal generation read mn, and
+`_ArithmeticPart.extra_failure` decides both, so survey enumeration
+builds A once per progression and asks that check once per mn; when
+M <= p it rejects the whole progression without asking.
 """
 from __future__ import annotations
 
@@ -47,6 +51,7 @@ class _ArithmeticPart:
     """The closed-form Apery set of A = <m0, ..., mp> (see the module docstring)."""
 
     def __init__(self, arith):
+        self.arith = arith
         self.m0, self.d, self.p = arith[0], arith[1] - arith[0], len(arith) - 1
         self.G = math.gcd(self.m0, self.d)
         self.M = self.m0 // self.G
@@ -71,6 +76,31 @@ class _ArithmeticPart:
     def __contains__(self, x):
         j = self.rung(x)
         return j is not None and x >= self.g(j)
+
+    def extra_failure(self, extra):
+        """The first failure of gcd 1 and minimal generation for arith plus
+        a positive extra, or None: the part of _generation_failure that
+        reads extra.  An m_i below extra is no multiple of extra and not
+        extra above m0, so the scan starts at the first m_i >= extra.
+        When M <= p every extra fails, at m_M if at no earlier m_i."""
+        if math.gcd(self.G, extra) != 1:
+            return "generators must have gcd 1"
+        arith, m0, M = self.arith, self.m0, self.M
+        P = m0 // math.gcd(m0, extra)
+        for i in range(max(0, -((m0 - extra) // self.d)), min(M, self.p + 1)):
+            m = arith[i]
+            if m % extra == 0 or (m - m0 >= extra and any(
+                    m - b * extra in self for b in range(1, min(P, (m - m0) // extra) + 1))):
+                redundant = (f"m{i}", m)
+                break
+        else:
+            if M <= self.p:
+                redundant = (f"m{M}", arith[M])
+            elif extra not in self:
+                return None
+            else:
+                redundant = ("mn", extra)
+        return "not minimally generated: %s = %d lies in the semigroup of the others" % redundant
 
 
 class Case(enum.Enum):
@@ -263,24 +293,10 @@ def validate(arith, extra):
 def _generation_failure(arith, extra):
     """validate's check past its shape checks, for an increasing arithmetic
     progression arith of at least two positive ints and a positive extra:
-    the first failure of the generator and p budgets, gcd 1 and minimal
-    generation, or None."""
+    the first failure of the generator and p budgets, then the arithmetic
+    part's per-extra check of gcd 1 and minimal generation, or None."""
     if max(arith[-1], extra) > MAX_GENERATOR:
         return f"generators must not exceed {MAX_GENERATOR}"
     if len(arith) - 1 > MAX_P:
         return f"p must not exceed {MAX_P}"
-    if math.gcd(*arith, extra) != 1:
-        return "generators must have gcd 1"
-    A = _ArithmeticPart(arith)
-    m0 = arith[0]
-    P = m0 // math.gcd(m0, extra)
-    for i, m in enumerate(arith):
-        if i >= A.M or m % extra == 0 or (m - m0 >= extra and any(
-                m - b * extra in A for b in range(1, min(P, (m - m0) // extra) + 1))):
-            redundant = (f"m{i}", m)
-            break
-    else:
-        if extra not in A:
-            return None
-        redundant = ("mn", extra)
-    return "not minimally generated: %s = %d lies in the semigroup of the others" % redundant
+    return _ArithmeticPart(arith).extra_failure(extra)

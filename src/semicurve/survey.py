@@ -54,7 +54,15 @@ from semicurve.groebner import Polynomial, gb_verify, leading_ideal
 from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import descending, format_monomial
 from semicurve.ratliff_rush import Verdict, reduce_variables, run_stage
-from semicurve.semigroup import MAX_P, Case, CurveInstance, _generation_failure, derive, validate
+from semicurve.semigroup import (
+    MAX_GENERATOR,
+    MAX_P,
+    Case,
+    CurveInstance,
+    _ArithmeticPart,
+    derive,
+    validate,
+)
 
 
 class MatchStatus(enum.Enum):
@@ -357,8 +365,12 @@ def run_instance(curve, depth=4):
                                failures=tuple(failures), timings_ms=timings)
 
 
-# input budget: enumeration visits about 280,000 candidates a second, so
-# this is about half a minute; Bounds((2,), 200, 200) has 1,980,000
+# input budget on the candidates, which bounds the time only loosely:
+# a candidate's cost is mostly validate's minimal-generation walk, which
+# grows with m_p/mn.  At 10^7 candidates Bounds((1,), 2, 10**7) (one
+# redundant progression) returns at once, Bounds((1,), 1001, 19) takes
+# about 95 s, and the slowest shape measured, Bounds((3,), 3465, 5),
+# about 230 s; Bounds((2,), 200, 200) has 1,980,000
 MAX_CANDIDATES = 10 ** 7
 
 
@@ -403,19 +415,28 @@ class Bounds:
 
 def enumerate_instances(bounds):
     """Validated normal-form instances within bounds, in lexicographic
-    (p, m0, d, mn) order; returns (instances, rejects).  Every candidate
-    passes validate's shape checks by construction, so only the rest of
-    validate is asked."""
+    (p, m0, d, mn) order; returns (instances, rejects).
+
+    One arithmetic progression m0, ..., m0 + pd at a time: its
+    semigroup._ArithmeticPart is built once, a progression with
+    M = m0/gcd(m0, d) <= p is rejected whole (m_M = (1 + d/G)*m0), and
+    otherwise each mn within the generator budget is put to the part's
+    per-extra check (see the semigroup docstring).  That is all of
+    validate that a candidate can fail: its shape checks hold by
+    construction, p <= MAX_P, and the candidate budget keeps m_p at
+    most 28,304."""
     kept, rejects = [], 0
+    extras = range(1, min(bounds.max_mn, MAX_GENERATOR) + 1)
     for p in sorted(set(bounds.p_values)):
         for m0 in range(1, bounds.max_mp + 1):
             for d in range(1, (bounds.max_mp - m0) // p + 1):
                 arith = tuple(m0 + i * d for i in range(p + 1))
-                for mn in range(1, bounds.max_mn + 1):
-                    if _generation_failure(arith, mn) is None:
-                        kept.append(CurveInstance(arith, mn))
-                    else:
-                        rejects += 1
+                A = _ArithmeticPart(arith)
+                before = len(kept)
+                if A.M > p:
+                    kept += [CurveInstance(arith, mn) for mn in extras
+                             if A.extra_failure(mn) is None]
+                rejects += bounds.max_mn - (len(kept) - before)
     return kept, rejects
 
 

@@ -246,9 +246,10 @@ def test_run_stage_makes_one_membership_pass(monkeypatch):
     # The bounded test refutes every candidate: each query is one of its
     # c * x_i^(aK) in I^(K+1), at least one per candidate, and no power is
     # read, so none is built, neither by the probe nor by a certificate's
-    # scan.
+    # scan.  The generators are scanned for pure powers once.
     ideal = _w_reduced()
     queries = _counting_queries(monkeypatch)
+    pure_scans = _counting(monkeypatch, ratliff_rush, "_pure_powers")
     kernels_built = _counting(monkeypatch, kernels, "power_membership")
     reads = _counting(monkeypatch, PowerCache, "get")
     scans = _counting(monkeypatch, ratliff_rush, "scaled_in_power")
@@ -265,25 +266,27 @@ def test_run_stage_makes_one_membership_pass(monkeypatch):
     assert all(any(t.get(m) == j for m, j in queries) for t in targets.values())
     assert reads[0] == 0 and scans[0] == 0 and colons[0] == 0
     assert products[0] == 0 and row_products[0] == 0
+    assert pure_scans[0] == 1
     assert chain.chain_equal == (True,) * 4
 
 
 def test_run_instance_takes_the_candidates_from_the_socle_colon(corpus, monkeypatch):
     # A curve's initial ideal never uses x0, so the comparator's colon by
     # x1..xn gives the candidates, in socle_complement's order.  Rerun, a
-    # sample of instances walks no colon again, and no corpus stage reads
-    # a power.
+    # sample of instances walks no colon again, no corpus stage reads a
+    # power, and each stage scans its generators for pure powers once.
     for rep in corpus.instances:
         assert rep.dropped_vars == (0,)
         assert rep.probe.candidates == socle_complement(rep.rr.ideal)
     sample = corpus.instances[::24]
-    walks = _counting(monkeypatch, ratliff_rush, "socle_complement")
+    walks = _counting(monkeypatch, ratliff_rush, "_socle_walk")
     reads = _counting(monkeypatch, PowerCache, "get")
+    pure_scans = _counting(monkeypatch, ratliff_rush, "_pure_powers")
     reruns = [run_instance(rep.instance, rep.rr.depth) for rep in sample]
-    assert walks[0] == 0
+    assert walks[0] == 0 and pure_scans[0] == len(sample)
     stages = [run_stage(rep.rr.ideal, rep.rr.depth, candidates=rep.probe.candidates)
               for rep in corpus.instances]
-    assert reads[0] == 0
+    assert reads[0] == 0 and pure_scans[0] == len(sample) + len(corpus.instances)
     monkeypatch.undo()
     for rep, rerun in zip(sample, reruns):
         assert rerun.probe.candidates == rep.probe.candidates

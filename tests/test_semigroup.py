@@ -53,6 +53,24 @@ def test_validation_rejections():
             f"not minimally generated: {name} = {value} lies in the semigroup of the others")
 
 
+def test_validation_reports_the_first_of_several_failures():
+    # The p = 3 progression 4, 6, 8, 10 has M = 2: m2 = m0 + 4 always
+    # fails, but mn = 3 divides m1 first.  mn = m2 = 11: both lie in the
+    # semigroup of the others, and m2 comes first.  Over the generator
+    # budget, gcd 2 and p = 41 lose to it, and p = 42 to gcd 2.
+    big = 2 * 10 ** 6
+    for arith, extra, first in (
+            ((4, 6, 8, 10), 3, "not minimally generated: m1 = 6 lies in the semigroup of the others"),
+            ((4, 6, 8, 10), 5, "not minimally generated: m2 = 8 lies in the semigroup of the others"),
+            ((5, 8, 11), 11, "not minimally generated: m2 = 11 lies in the semigroup of the others"),
+            ((2, 4), big, "generators must not exceed 1000000"),
+            (tuple(range(2, 44)), big, "generators must not exceed 1000000"),
+            (tuple(range(2, 88, 2)), 4, "p must not exceed 40")):
+        assert validate(arith, extra).failures == (first,), (arith, extra)
+        if first.startswith("not"):
+            assert validation_failures(arith, extra) == (first,), (arith, extra)
+
+
 def _validation_sample(count, seed):
     """Seeded candidates in six kinds by turn: M = m0/gcd(m0, d) <= p; mn
     equal to some m_i; mn = 1; mn > 1 dividing some m_i; gcd(m0, d) > 1;

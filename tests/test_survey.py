@@ -1,15 +1,20 @@
 """Corpus enumeration, guard pooling, comparisons, and emitters."""
 import hashlib
 import json
+import math
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semicurve import kernels
+from semicurve import kernels, semigroup
+from semicurve import survey as survey_module
 from semicurve.curve import closed_form_table, initial_closed_form
 from semicurve.errors import UserInputError
 from semicurve.ideals import MonomialIdeal
 from semicurve.ratliff_rush import reduce_variables, socle_complement
-from semicurve.semigroup import CurveInstance, derive, validate
+from semicurve.semigroup import MAX_P, CurveInstance, derive, validate
 from semicurve.survey import (
     Bounds,
     COLON_SELECTORS,
@@ -65,13 +70,50 @@ def test_enumerate_instances_pairs_with_rejects():
     assert instances == [] and rejects == 0
 
 
-def test_enumeration_keeps_what_validate_accepts():
-    # Enumeration skips validate's shape checks, which its progressions pass.
-    candidates = [(tuple(m0 + i * d for i in range(p + 1)), mn)
-                  for p in (1, 2, 3) for m0 in range(1, 26)
-                  for d in range(1, (25 - m0) // p + 1) for mn in range(1, 26)]
+def _validated(bounds):
+    """enumerate_instances by brute force: every candidate through validate,
+    shape checks included; returns (instances, rejects, progressions), the
+    last the number of progressions with M = m0/gcd(m0, d) <= p."""
+    progressions = [tuple(m0 + i * d for i in range(p + 1))
+                    for p in sorted(set(bounds.p_values)) for m0 in range(1, bounds.max_mp + 1)
+                    for d in range(1, (bounds.max_mp - m0) // p + 1)]
+    candidates = [(arith, mn) for arith in progressions for mn in range(1, bounds.max_mn + 1)]
     kept = [CurveInstance(arith, mn) for arith, mn in candidates if validate(arith, mn).ok]
-    assert enumerate_instances(Bounds((3, 1, 2), 25, 25)) == (kept, len(candidates) - len(kept))
+    redundant = sum(a[0] // math.gcd(a[0], a[1] - a[0]) < len(a) for a in progressions)
+    return kept, len(candidates) - len(kept), redundant
+
+
+def test_enumeration_keeps_what_validate_accepts():
+    for bounds in (Bounds((3, 1, 2), 25, 25),
+                   Bounds((4, 7), 30, 40),    # many progressions with M <= p, rejected whole
+                   Bounds((1, 2), 12, 60)):   # most mn above every term of the progression
+        kept, rejects, redundant = _validated(bounds)
+        assert redundant and enumerate_instances(bounds) == (kept, rejects), bounds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.builds(Bounds, st.lists(st.integers(1, 6), max_size=3).map(tuple),
+                 st.integers(1, 24), st.integers(1, 30)))
+def test_enumeration_matches_validate_on_small_bounds(bounds):
+    kept, rejects, _ = _validated(bounds)
+    assert enumerate_instances(bounds) == (kept, rejects)
+
+
+def test_enumeration_rejects_extras_over_the_generator_budget(monkeypatch):
+    monkeypatch.setattr(semigroup, "MAX_GENERATOR", 20)
+    monkeypatch.setattr(survey_module, "MAX_GENERATOR", 20)
+    bounds = Bounds((1, 2), 12, 60)
+    kept, rejects, _ = _validated(bounds)
+    assert max(c.extra for c in kept) == 20
+    assert enumerate_instances(bounds) == (kept, rejects)
+
+
+def test_enumeration_rejects_a_redundant_progression_at_once():
+    # (1, 2) is the only progression, and m1 = 2*m0: all 10^7 candidates
+    # are rejected in one step (about 15 s when each was validated).
+    t0 = time.perf_counter()
+    assert enumerate_instances(Bounds((1,), 2, MAX_CANDIDATES)) == ([], MAX_CANDIDATES)
+    assert time.perf_counter() - t0 < 1
 
 
 @pytest.mark.parametrize("bounds", [
@@ -94,6 +136,10 @@ def test_candidate_budget():
     Bounds((1,), 1001, MAX_CANDIDATES // 500_500)
     with pytest.raises(UserInputError, match="budget of 10,000,000"):
         Bounds((1,), 1001, MAX_CANDIDATES // 500_500 + 1)
+    # Enumeration leaves m_p to this budget, not to the generator budget.
+    Bounds((MAX_P,), 28_304, 1)
+    with pytest.raises(UserInputError, match="budget of 10,000,000"):
+        Bounds((MAX_P,), 28_305, 1)
 
 
 def test_empty_bounds_survey():
