@@ -131,14 +131,6 @@ def _require_primary(ideal, pure):
             f"ideal is not primary to the maximal ideal: no pure power of x{missing}")
 
 
-def primary_to_max(ideal):
-    """True iff every variable has a pure power in the ideal.
-
-    For monomial ideals this is equivalent to being primary to the maximal
-    monomial ideal."""
-    return len(_pure_powers(ideal)) == ideal.arity
-
-
 def reduce_variables(ideal):
     """Drop variables unused by every generator; return (ideal, dropped).
 
@@ -390,9 +382,10 @@ def run_stage(ideal, depth, candidates=None):
     """The Ratliff-Rush stage: (chain, probe) over one shared PowerCache.
 
     The probe runs first, and only when the ideal is primary to the
-    maximal ideal, otherwise it is None; rr_chain reads its membership
-    table.  The zero and unit ideals are not primary, so rr_chain rejects
-    them.
+    maximal ideal, which for a monomial ideal means that every variable
+    has a pure power among the generators; otherwise it is None.
+    rr_chain reads its membership table.  The zero and unit ideals are
+    not primary, so rr_chain rejects them.
 
     The chain decides the stage's verdict, and the probe cannot disagree
     with it: rr_chain takes J_k = I at every depth where no candidate

@@ -80,15 +80,13 @@ class _ArithmeticPart:
     def extra_failure(self, extra):
         """The first failure of gcd 1 and minimal generation for arith plus
         a positive extra, or None: the part of _generation_failure that
-        reads extra.  An m_i below extra is no multiple of extra and not
-        extra above m0, so the scan starts at the first m_i >= extra.
-        When M <= p every extra fails, at m_M if at no earlier m_i."""
+        reads extra.  When M <= p every extra fails, at m_M if at no
+        earlier m_i."""
         if math.gcd(self.G, extra) != 1:
             return "generators must have gcd 1"
         arith, m0, M = self.arith, self.m0, self.M
         P = m0 // math.gcd(m0, extra)
-        for i in range(max(0, -((m0 - extra) // self.d)), min(M, self.p + 1)):
-            m = arith[i]
+        for i, m in enumerate(arith[:M]):
             if m % extra == 0 or (m - m0 >= extra and any(
                     m - b * extra in self for b in range(1, min(P, (m - m0) // extra) + 1))):
                 redundant = (f"m{i}", m)

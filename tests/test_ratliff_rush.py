@@ -17,7 +17,6 @@ from semicurve.ratliff_rush import (
     SocleProbeReport,
     Verdict,
     certify_witness,
-    primary_to_max,
     reduce_variables,
     rr_chain,
     run_stage,
@@ -107,10 +106,11 @@ def test_reduce_variables():
 
 
 def test_primary_to_max():
-    assert primary_to_max(_w_reduced())
+    # run_stage probes exactly the ideals primary to the maximal ideal.
+    assert run_stage(_w_reduced(), 1)[1] is not None
     # A pure power is missing for the first variable here.
-    assert not primary_to_max(MonomialIdeal(2, [(1, 1), (0, 2)]))
-    assert primary_to_max(MonomialIdeal(1, [(3,)]))
+    assert run_stage(MonomialIdeal(2, [(1, 1), (0, 2)]), 1)[1] is None
+    assert run_stage(MonomialIdeal(1, [(3,)]), 1)[1] is not None
 
 
 def test_socle_complement():

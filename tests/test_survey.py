@@ -72,8 +72,8 @@ def test_enumerate_instances_pairs_with_rejects():
 
 def _validated(bounds):
     """enumerate_instances by brute force: every candidate through validate,
-    shape checks included; returns (instances, rejects, progressions), the
-    last the number of progressions with M = m0/gcd(m0, d) <= p."""
+    shape checks included; returns (instances, rejects, redundant), where
+    redundant counts the progressions with M = m0/gcd(m0, d) <= p."""
     progressions = [tuple(m0 + i * d for i in range(p + 1))
                     for p in sorted(set(bounds.p_values)) for m0 in range(1, bounds.max_mp + 1)
                     for d in range(1, (bounds.max_mp - m0) // p + 1)]
