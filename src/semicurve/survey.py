@@ -370,7 +370,7 @@ def run_instance(curve, depth=4):
 # grows with m_p/mn.  At 10^7 candidates Bounds((1,), 2, 10**7) (one
 # redundant progression) returns at once, Bounds((1,), 1001, 19) takes
 # about 95 s, and the slowest shape measured, Bounds((3,), 3465, 5),
-# about 230 s; Bounds((2,), 200, 200) has 1,980,000
+# about 210 s; Bounds((2,), 200, 200) has 1,980,000
 MAX_CANDIDATES = 10 ** 7
 
 
