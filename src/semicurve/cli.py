@@ -242,14 +242,14 @@ def _emit_verdict(args, payload, note):
 
 def cmd_rr(args):
     ideal, note = _parse_ideal(args.ideal)
-    payload = verdict_payload(args.depth, *run_stage(ideal, args.depth))
+    payload = verdict_payload(*run_stage(ideal, args.depth))
     return _emit_verdict(args, payload, note)
 
 
 def cmd_probe(args):
     ideal, note = _parse_ideal(args.ideal)
     report = socle_probe(ideal, args.depth)
-    payload = verdict_payload(args.depth, probe=report)
+    payload = verdict_payload(probe=report)
     payload["degenerate"] = report.degenerate
     return _emit_verdict(args, payload, note)
 

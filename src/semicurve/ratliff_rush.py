@@ -47,10 +47,9 @@ depth down: one failed test there decides the whole row.  A test at
 depth k asks whether c * g lies in I^(k+1) for every generator g of I^k,
 through kernels.power_membership, which reads only the generators of I:
 m lies in I^(k+1) iff some generator h of I divides m with m - h in I^k.
-The pure powers h^k are tried before the rows of I^k, which are built
-only when every pure power passes, and PowerCache builds no power beyond
-the budget MAX_POWER_PRODUCTS.  The powers are kept as plain kernel rows,
-which only the generic colon wraps in MonomialIdeals.
+The test reads the rows of I^k from PowerCache, which builds no power
+beyond the budget MAX_POWER_PRODUCTS.  The powers are kept as plain
+kernel rows, which only the generic colon wraps in MonomialIdeals.
 """
 from __future__ import annotations
 
@@ -73,7 +72,8 @@ class Verdict(Enum):
 # I^(k-1) with the n generators, and PowerCache.get refuses to form more
 # than this many products for one power.  The corpus builds no power at
 # depths up to cli.MAX_DEPTH; the most the tests form for one power is
-# 2,261, for I^4 of a 17-generator gapped ideal (133 rows of I^3 times 17).
+# 15,730, for I^3 of the 55-generator ideal whose I^4 the budget refuses
+# (286 rows of I^2 times 55).
 MAX_POWER_PRODUCTS = 20_000
 
 
@@ -81,12 +81,14 @@ class PowerCache:
     """Lazily extended list of the powers I^k, k >= 1, of a fixed ideal, as
     minimal kernel rows, and the generic colons I^(k+1) : I^k taken over
     them.  A power is never emitted and its order never read, so only the
-    colon wraps rows in a MonomialIdeal."""
+    colon wraps rows in a MonomialIdeal.  pure holds the _pure_powers of
+    the ideal, scanned once for the stage that shares the cache."""
 
-    __slots__ = ("ideal", "_powers", "_colons")
+    __slots__ = ("ideal", "pure", "_powers", "_colons")
 
     def __init__(self, ideal):
         self.ideal = ideal
+        self.pure = _pure_powers(ideal)
         self._powers = [None, ideal.gens]
         self._colons = {}
 
@@ -169,15 +171,6 @@ def scaled_in_power(mono, rows_k, rows_k1):
     (divisibility scans).  The products are formed lazily, so the scan
     stops at the first miss."""
     return kernels.all_divisible((tuple(map(add, mono, g)) for g in rows_k), rows_k1)
-
-
-def _power_rows(gens, powers, k):
-    """The generators of I^k, the pure powers h^k of the generators h of I
-    first: each lies in I^k, so the set still generates I^k.  The rows of
-    I^k are read, and built, only once every pure power is yielded."""
-    for h in gens:
-        yield tuple(e * k for e in h)
-    yield from powers.get(k)
 
 
 def _refuted(c, pure, contains, depth):
@@ -306,23 +299,18 @@ def socle_probe(ideal, depth, powers=None, candidates=None):
     filled from the top depth down: a candidate that fails at depth fails
     at every lower depth, and one that passes is tested one depth lower
     until a test fails, so every row is exact.  One power_membership
-    predicate serves every test, and a test reads the rows of I^k only
-    after every pure power h^k passes, so a row decided by the pure
-    powers alone builds no power.
+    predicate serves every test, which reads the rows of I^k from powers.
 
     candidates, when given, must equal socle_complement(ideal), which is
-    computed otherwise (survey.run_instance passes its colon by x1..xn)."""
-    return _probe(ideal, depth, powers, candidates, _pure_powers(ideal))
-
-
-def _probe(ideal, depth, powers, candidates, pure):
-    """socle_probe, given pure = _pure_powers(ideal)."""
+    computed otherwise (survey.run_instance passes its colon by x1..xn).
+    The bounded test reads the pure powers off powers.pure."""
     if depth < 1:
         raise UserInputError("probe depth must be at least 1")
     if ideal.is_zero or ideal.is_unit:
         raise UserInputError("socle probe needs a proper nonzero ideal")
     if powers is None:
         powers = PowerCache(ideal)
+    pure = powers.pure
     if candidates is None:
         _require_primary(ideal, pure)
         candidates = _socle_walk(ideal)
@@ -330,8 +318,7 @@ def _probe(ideal, depth, powers, candidates, pure):
     contains = kernels.power_membership(ideal.gens)
 
     def passes(c, k):   # c * I^k <= I^(k+1)
-        return all(contains(tuple(map(add, c, g)), k + 1)
-                   for g in _power_rows(ideal.gens, powers, k))
+        return all(contains(tuple(map(add, c, g)), k + 1) for g in powers.get(k))
 
     table = []
     for c in candidates:
@@ -355,16 +342,16 @@ def _probe(ideal, depth, powers, candidates, pure):
                             witness, witness_depth, degenerate)
 
 
-def verdict_payload(depth, chain=None, probe=None):
+def verdict_payload(chain=None, probe=None):
     """JSON-ready verdict report for the rr (chain plus probe, from
-    run_stage) and probe (probe only) commands.  The verdict and witness
-    are the chain's (under run_stage the probe's verdict and witness depth
-    are the same, see there), and the probe's only when no chain is given.
-    chain_equal appears only with a chain, the probe fields are empty
-    without a probe, and the witness only on NOT_CLOSED."""
+    run_stage) and probe (probe only) commands.  The depth, verdict and
+    witness are the chain's (under run_stage the probe's depth, verdict
+    and witness depth are the same, see there), and the probe's only when
+    no chain is given.  chain_equal appears only with a chain, the probe
+    fields are empty without a probe, and the witness only on NOT_CLOSED."""
     decided = probe if chain is None else chain
     payload = {
-        "depth": depth,
+        "depth": decided.depth,
         "verdict": decided.verdict.value,
         "socle_candidates": [] if probe is None else [list(c) for c in probe.candidates],
         "membership_table": [] if probe is None else [[bool(b) for b in row]
@@ -393,12 +380,10 @@ def run_stage(ideal, depth, candidates=None):
     and raises InternalCheckError if that colon is I.  So the chain is
     NOT_CLOSED exactly when some table entry is True, which is exactly
     when the probe is, and both witnesses sit at the first such depth.
-    candidates goes to socle_probe as it is.  The generators are scanned
-    for pure powers once, for the primary test and the probe's bounded
-    test both."""
+    candidates goes to socle_probe as it is.  The probe and the chain
+    share one PowerCache, which scans the generators for pure powers once,
+    for the primary test and the probe's bounded test both."""
     powers = PowerCache(ideal)
-    pure = _pure_powers(ideal)
-    probe = (_probe(ideal, depth, powers, candidates, pure)
-             if len(pure) == ideal.arity else None)
+    probe = (socle_probe(ideal, depth, powers, candidates)
+             if len(powers.pure) == ideal.arity else None)
     return rr_chain(ideal, depth, powers=powers, probe=probe), probe
-

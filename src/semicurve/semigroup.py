@@ -79,9 +79,9 @@ class _ArithmeticPart:
 
     def extra_failure(self, extra):
         """The first failure of gcd 1 and minimal generation for arith plus
-        a positive extra, or None: the part of _generation_failure that
-        reads extra.  When M <= p every extra fails, at m_M if at no
-        earlier m_i."""
+        a positive extra, or None: the part of validate past its shape
+        checks and budgets.  When M <= p every extra fails, at m_M if at
+        no earlier m_i."""
         if math.gcd(self.G, extra) != 1:
             return "generators must have gcd 1"
         arith, m0, M = self.arith, self.m0, self.M
@@ -108,14 +108,11 @@ class Case(enum.Enum):
 
 @dataclass(frozen=True)
 class CurveInstance:
-    """Input sequence in normal form: arithmetic part plus extra generator."""
+    """Input sequence in normal form: arithmetic part plus extra generator.
+    The fields are taken as given: arith a tuple of ints, extra an int."""
 
     arith: tuple
     extra: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "arith", tuple(int(m) for m in self.arith))
-        object.__setattr__(self, "extra", int(self.extra))
 
     @property
     def p(self):
@@ -283,18 +280,11 @@ def validate(arith, extra):
             d = arith[1] - arith[0]
             if any(b - a != d for a, b in zip(arith, arith[1:])):
                 failures.append("arithmetic part must have a constant common difference")
-    if not failures and (failure := _generation_failure(arith, extra)):
-        failures.append(failure)
+    if not failures:
+        if max(arith[-1], extra) > MAX_GENERATOR:
+            failures.append(f"generators must not exceed {MAX_GENERATOR}")
+        elif len(arith) - 1 > MAX_P:
+            failures.append(f"p must not exceed {MAX_P}")
+        elif failure := _ArithmeticPart(arith).extra_failure(extra):
+            failures.append(failure)
     return ValidationReport(ok=not failures, failures=tuple(failures))
-
-
-def _generation_failure(arith, extra):
-    """validate's check past its shape checks, for an increasing arithmetic
-    progression arith of at least two positive ints and a positive extra:
-    the first failure of the generator and p budgets, then the arithmetic
-    part's per-extra check of gcd 1 and minimal generation, or None."""
-    if max(arith[-1], extra) > MAX_GENERATOR:
-        return f"generators must not exceed {MAX_GENERATOR}"
-    if len(arith) - 1 > MAX_P:
-        return f"p must not exceed {MAX_P}"
-    return _ArithmeticPart(arith).extra_failure(extra)

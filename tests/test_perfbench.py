@@ -44,3 +44,6 @@ def test_tracer_finds_every_name_it_rebinds():
     metrics = json.loads(proc.stdout)
     assert metrics["survey.compare_selector.calls"] > 0
     assert metrics["semigroup.derive.calls"] > 0
+    # The stage calls socle_probe by name, so the probe's span counts the
+    # three socle candidates of 5,8,11;7.
+    assert metrics["ratliff_rush.socle_candidates"] == 3

@@ -360,9 +360,9 @@ def test_bounded_test_refutes_an_integral_element():
 
 
 def test_a_passing_test_reads_the_power(monkeypatch):
-    # The pure powers h^k are only part of I^k: a test passes only once the
-    # rows of I^k pass too, so every depth where a row passes reads
-    # PowerCache.get(k) before the witness is certified.
+    # A per-depth test reads the rows of I^k from PowerCache.get(k), so
+    # every depth where a row passes reads its power before the witness is
+    # certified.
     reads, at_certify = [], []
     get, certify = PowerCache.get, ratliff_rush.certify_witness
 
@@ -383,9 +383,10 @@ def test_a_passing_test_reads_the_power(monkeypatch):
 
 
 def test_pure_powers_alone_do_not_decide_a_test():
-    # x^2*z^2 is a socle candidate whose products with every pure power h^2
-    # lie in I^3, yet its product with the row x^2*y^3*z^3 = (x*y^2*z) *
-    # (x*y*z^2) of I^2 does not: only from depth 3 on does it pass.
+    # x^2*z^2 is a socle candidate whose products with every h^2, h a
+    # generator of I, lie in I^3, yet its product with the row
+    # x^2*y^3*z^3 = (x*y^2*z) * (x*y*z^2) of I^2 does not: the test must
+    # read every row of I^2, and only from depth 3 on does c pass.
     ideal = MonomialIdeal(3, [(4, 0, 0), (0, 4, 0), (0, 0, 4), (3, 0, 1),
                               (1, 0, 3), (1, 1, 2), (1, 2, 1)])
     c, gens = (2, 0, 2), list(ideal.gens)
@@ -418,14 +419,14 @@ def test_chain_rejects_a_probe_the_colon_contradicts():
 
 
 def test_combined_report_schema():
-    rep = verdict_payload(3, *run_stage(NEGATIVE_CONTROL, 3))
+    rep = verdict_payload(*run_stage(NEGATIVE_CONTROL, 3))
     assert sorted(rep) == ["chain_equal", "depth", "membership_table",
                            "socle_candidates", "verdict", "witness",
                            "witness_depth"]
     assert rep["depth"] == 3 and rep["verdict"] == "NOT_CLOSED"
     assert rep["witness"] == [2, 2] and rep["witness_depth"] == 1
 
-    closed = verdict_payload(2, *run_stage(_w_reduced(), 2))
+    closed = verdict_payload(*run_stage(_w_reduced(), 2))
     assert closed["verdict"] == "CLOSED_EVIDENCE"
     assert "witness" not in closed
     assert closed["chain_equal"] == [True, True]
@@ -460,7 +461,7 @@ def test_rr_and_survey_share_the_verdict_rule(worked_instance, chain_witness,
     chain = _fake_chain(chain_witness)
     probe = None if probe_witness == "absent" else _fake_probe(probe_witness)
     surveyed = replace(run_instance(worked_instance, depth=1), rr=chain, probe=probe)
-    payload = verdict_payload(1, chain, probe)
+    payload = verdict_payload(chain, probe)
 
     verdict, witness = expected
     assert payload["verdict"] == surveyed.rr_verdict.value == verdict
@@ -472,7 +473,7 @@ def test_chain_and_probe_agree_on_the_corpus(corpus):
     # verdict is the survey's.
     for rep in corpus.instances:
         assert rep.probe.verdict is rep.rr.verdict is rep.rr_verdict
-        payload = verdict_payload(rep.rr.depth, rep.rr, rep.probe)
+        payload = verdict_payload(rep.rr, rep.probe)
         assert payload["verdict"] == rep.rr_verdict.value
 
 
@@ -489,7 +490,7 @@ def _assert_chain_parity(ideal, chain, probe):
     # The two verdicts agree, and the payload carries the chain's witness.
     assert chain.verdict is probe.verdict
     assert chain.witness_depth == probe.witness_depth
-    payload = verdict_payload(chain.depth, chain, probe)
+    payload = verdict_payload(chain, probe)
     assert payload["verdict"] == chain.verdict.value
     assert payload.get("witness") == (None if chain.witness is None else list(chain.witness))
     assert [j.gens for j in chain.chain] == [
