@@ -7,8 +7,9 @@ generators of the initial ideal, and the published colon/socle generator
 lists that the survey comparator checks against the generic engine.
 
 The published lists follow the zero convention: a monomial whose formula
-produces a negative exponent is treated as 0 and dropped.  Rows gated by
-a Kronecker delta on q_z are present only when q_z = 0.
+produces a negative exponent is treated as 0 and dropped.  The row gated
+by a Kronecker delta on q_z is displayed only when q_z = 0.  A list keeps
+no rows, only the three facts the survey's guards and comparator read.
 """
 from __future__ import annotations
 
@@ -114,130 +115,94 @@ class ClosedForm(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Row:
-    """One displayed row of a closed-form list."""
-
-    name: str
-    lo: int | None          # index range, inclusive; None for a single monomial
-    hi: int | None
-    active: bool            # False when a delta-q_z gate excludes the row
-    monomials: tuple        # emitted monomials (after the zero convention)
-    dropped: int            # count removed by the zero convention
-
-    @property
-    def empty_range(self):
-        return self.lo is not None and self.lo > self.hi
-
-
-@dataclass(frozen=True)
 class ClosedFormList:
+    """One published list as the comparator reads it: its distinct
+    monomials in row order, the count the zero convention dropped, and the
+    names of the rows whose index range is empty."""
+
     selector: ClosedForm
-    rows: tuple
-
-    @property
-    def monomials(self):
-        seen, out = set(), []
-        for row in self.rows:
-            for m in row.monomials:
-                if m not in seen:
-                    seen.add(m)
-                    out.append(m)
-        return tuple(out)
-
-    @property
-    def dropped_count(self):
-        return sum(row.dropped for row in self.rows)
-
-    @property
-    def empty_ranges(self):
-        return tuple(row.name for row in self.rows if row.active and row.empty_range)
+    monomials: tuple
+    dropped_count: int
+    empty_ranges: tuple
 
 
-def _ranged_row(arity, name, lo, hi, pairs_for, active=True):
-    monos, dropped = [], 0
-    if active:
-        for i in range(lo, hi + 1):
+def _closed_form_list(arity, selector, specs):
+    """The list of selector from its displayed rows, given as specs
+    (name, lo, hi, pairs_for): pairs_for(i) gives the exponent pairs of the
+    row's monomial at each index i in lo..hi, inclusive, or at i = None for
+    a single monomial, whose lo and hi are None."""
+    monomials, dropped, empty = {}, 0, []
+    for name, lo, hi, pairs_for in specs:
+        if lo is not None and lo > hi:
+            empty.append(name)
+        for i in (None,) if lo is None else range(lo, hi + 1):
             m = _mono(arity, pairs_for(i))
             if m is None:
                 dropped += 1
             else:
-                monos.append(m)
-    return Row(name, lo, hi, active, tuple(monos), dropped)
-
-
-def _single_row(arity, name, pairs, active=True):
-    monos, dropped = (), 0
-    if active:
-        m = _mono(arity, pairs)
-        if m is None:
-            dropped = 1
-        else:
-            monos = (m,)
-    return Row(name, None, None, active, monos, dropped)
+                monomials[m] = None
+    return ClosedFormList(selector, tuple(monomials), dropped, tuple(empty))
 
 
 def closed_form_table(dp, instance, selector):
-    """Rows of the selected published colon/socle list, literally as
-    displayed, including per-row diagnostics for the comparator guards."""
+    """The selected published colon/socle list, built from its rows as
+    displayed.  The delta(q_z = 0) row is displayed only when q_z = 0."""
     p, n = instance.p, instance.n
-    arity = instance.arity
     q, r, q_z, r_z, eps, v, w = dp.q, dp.r, dp.q_z, dp.r_z, dp.eps, dp.v, dp.w
     case2 = dp.eps == 0 and dp.q_z == 0
 
     if selector is ClosedForm.COLON_X1_TO_PM1:
-        rows = [_ranged_row(arity, "x_i", 1, p - 1, lambda i: [(i, 1)])]
+        specs = [("x_i", 1, p - 1, lambda i: [(i, 1)])]
     elif selector is ClosedForm.COLON_X1_TO_P:
-        rows = [
-            _ranged_row(arity, "x_i*x_p^q", 1, r - 1,
-                        lambda i: [(i, 1), (p, q)]),
-            _ranged_row(arity, "x_i*x_p^(q-1)", r, p - 1,
-                        lambda i: [(i, 1), (p, q - 1)]),
-            _ranged_row(arity, "x_i*x_p^(q-q_z-eps)*x_n^(v-w)", 1, eps * p + r - r_z - 1,
-                        lambda i: [(i, 1), (p, q - q_z - eps), (n, v - w)]),
-            _ranged_row(arity, "x_i*x_p^(q-q_z-eps-1)*x_n^(v-w)", eps * p + r - r_z, p - 1,
-                        lambda i: [(i, 1), (p, q - q_z - eps - 1), (n, v - w)]),
+        specs = [
+            ("x_i*x_p^q", 1, r - 1,
+             lambda i: [(i, 1), (p, q)]),
+            ("x_i*x_p^(q-1)", r, p - 1,
+             lambda i: [(i, 1), (p, q - 1)]),
+            ("x_i*x_p^(q-q_z-eps)*x_n^(v-w)", 1, eps * p + r - r_z - 1,
+             lambda i: [(i, 1), (p, q - q_z - eps), (n, v - w)]),
+            ("x_i*x_p^(q-q_z-eps-1)*x_n^(v-w)", eps * p + r - r_z, p - 1,
+             lambda i: [(i, 1), (p, q - q_z - eps - 1), (n, v - w)]),
         ]
     elif selector is ClosedForm.COLON_XN:
         if case2:
-            rows = [
-                _ranged_row(arity, "x_i*x_p^q*x_n^(v-w-1)", r - r_z, r - 1,
-                            lambda i: [(i, 1), (p, q), (n, v - w - 1)]),
-                _single_row(arity, "x_n^(v-1)", [(n, v - 1)]),
+            specs = [
+                ("x_i*x_p^q*x_n^(v-w-1)", r - r_z, r - 1,
+                 lambda i: [(i, 1), (p, q), (n, v - w - 1)]),
+                ("x_n^(v-1)", None, None, lambda _: [(n, v - 1)]),
             ]
         else:
-            rows = [
-                _ranged_row(arity, "x_i*x_p^(q-q_z-eps)*x_n^(v-w-1)", p + r - r_z, p - 1,
-                            lambda i: [(i, 1), (p, q - q_z - eps), (n, v - w - 1)]),
-                _single_row(arity, "x_p^(q-q_z-eps+1)*x_n^(v-w-1)",
-                            [(p, q - q_z - eps + 1), (n, v - w - 1)]),
-                _single_row(arity, "x_n^(v-1)", [(n, v - 1)]),
+            specs = [
+                ("x_i*x_p^(q-q_z-eps)*x_n^(v-w-1)", p + r - r_z, p - 1,
+                 lambda i: [(i, 1), (p, q - q_z - eps), (n, v - w - 1)]),
+                ("x_p^(q-q_z-eps+1)*x_n^(v-w-1)", None, None,
+                 lambda _: [(p, q - q_z - eps + 1), (n, v - w - 1)]),
+                ("x_n^(v-1)", None, None, lambda _: [(n, v - 1)]),
             ]
     elif selector is ClosedForm.SOCLE_RHO_CHI:
         if case2:
-            rows = [
-                _ranged_row(arity, "rho: x_i*x_p^(q-1)*x_n^(v-1)", r - r_z, p - 1,
-                            lambda i: [(i, 1), (p, q - 1), (n, v - 1)]),
-                _ranged_row(arity, "chi: x_i*x_p^q*x_n^(v-1)", 1, r - r_z - 1,
-                            lambda i: [(i, 1), (p, q), (n, v - 1)]),
-                _ranged_row(arity, "chi: x_i*x_p^q*x_n^(v-w-1)", r - r_z, r - 1,
-                            lambda i: [(i, 1), (p, q), (n, v - w - 1)]),
+            specs = [
+                ("rho: x_i*x_p^(q-1)*x_n^(v-1)", r - r_z, p - 1,
+                 lambda i: [(i, 1), (p, q - 1), (n, v - 1)]),
+                ("chi: x_i*x_p^q*x_n^(v-1)", 1, r - r_z - 1,
+                 lambda i: [(i, 1), (p, q), (n, v - 1)]),
+                ("chi: x_i*x_p^q*x_n^(v-w-1)", r - r_z, r - 1,
+                 lambda i: [(i, 1), (p, q), (n, v - w - 1)]),
             ]
         else:
-            rows = [
-                _ranged_row(arity, "rho: x_i*x_p^(q-q_z-eps-1)*x_n^(v-1)", eps * p + r - r_z, p - 1,
-                            lambda i: [(i, 1), (p, q - q_z - eps - 1), (n, v - 1)]),
-                _ranged_row(arity, "chi: x_i*x_p^q*x_n^(v-w-1)", 1, r - 1,
-                            lambda i: [(i, 1), (p, q), (n, v - w - 1)]),
-                _ranged_row(arity, "chi: delta(q_z=0) x_i*x_p^(q-1)*x_n^(v-w-1)",
-                            r, eps * p + r - r_z - 1,
-                            lambda i: [(i, 1), (p, q - 1), (n, v - w - 1)],
-                            active=q_z == 0),
-                _ranged_row(arity, "chi: x_i*x_p^(q-1)*x_n^(v-w-1)",
-                            eps * p + r - eps * r_z, p - 1,
-                            lambda i: [(i, 1), (p, q - 1), (n, v - w - 1)]),
-                _ranged_row(arity, "chi: x_i*x_p^(q-q_z-eps)*x_n^(v-1)", 1, eps * p + r - r_z - 1,
-                            lambda i: [(i, 1), (p, q - q_z - eps), (n, v - 1)]),
+            delta = [("chi: delta(q_z=0) x_i*x_p^(q-1)*x_n^(v-w-1)", r, eps * p + r - r_z - 1,
+                      lambda i: [(i, 1), (p, q - 1), (n, v - w - 1)])] if q_z == 0 else []
+            specs = [
+                ("rho: x_i*x_p^(q-q_z-eps-1)*x_n^(v-1)", eps * p + r - r_z, p - 1,
+                 lambda i: [(i, 1), (p, q - q_z - eps - 1), (n, v - 1)]),
+                ("chi: x_i*x_p^q*x_n^(v-w-1)", 1, r - 1,
+                 lambda i: [(i, 1), (p, q), (n, v - w - 1)]),
+                *delta,
+                ("chi: x_i*x_p^(q-1)*x_n^(v-w-1)", eps * p + r - eps * r_z, p - 1,
+                 lambda i: [(i, 1), (p, q - 1), (n, v - w - 1)]),
+                ("chi: x_i*x_p^(q-q_z-eps)*x_n^(v-1)", 1, eps * p + r - r_z - 1,
+                 lambda i: [(i, 1), (p, q - q_z - eps), (n, v - 1)]),
             ]
     else:
         raise ValueError(f"{selector} is not a colon/socle closed form")
-    return ClosedFormList(selector, tuple(rows))
+    return _closed_form_list(instance.arity, selector, specs)

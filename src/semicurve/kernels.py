@@ -37,11 +37,11 @@ ended.  A residue depends only on the rows and the walk, so the cache
 changes no result.
 
 A row scanned many times is kept in support form: its (index, exponent)
-pairs with a nonzero exponent, paired with a value (_supports).  The
-first-divisor scan (_first_divisor) compares only those pairs, so the
-empty support of the unit monomial divides everything.  colon_residues
-filters its lcms against the support forms of rows, kept in the same cache
-entry and built by the first step that has lcms to filter.
+pairs with a nonzero exponent (_supports).  The divisibility scan
+(_support_divides) compares only those pairs, so the empty support of the
+unit monomial divides everything.  colon_residues filters its lcms against
+the support forms of rows, kept in the same cache entry and built by the
+first step that has lcms to filter.
 
 A kernel that needs another one calls its private helper, never the public
 name, so the eight public functions are entered only from outside the module
@@ -110,25 +110,23 @@ def _divides_any(rows, target):
     return False
 
 
-def _supports(rows, values):
-    """The support form of each row paired with its value: the support form
-    of m is its (index, exponent) pairs with a nonzero exponent, in index
-    order."""
-    return [(tuple([(i, e) for i, e in enumerate(m) if e]), v)
-            for m, v in zip(rows, values)]
+def _supports(rows):
+    """The support form of each row: its (index, exponent) pairs with a
+    nonzero exponent, in index order."""
+    return [tuple([(i, e) for i, e in enumerate(m) if e]) for m in rows]
 
 
-def _first_divisor(entries, m):
-    """The value of the first (support form, value) pair in entries whose
-    monomial divides m, or None.  Only the nonzero exponents are compared,
-    so the empty support of the unit monomial divides every m."""
-    for support, value in entries:
+def _support_divides(supports, m):
+    """True iff the monomial of some support form in supports divides m.
+    Only the nonzero exponents are compared, so the empty support of the
+    unit monomial divides every m."""
+    for support in supports:
         for i, e in support:
             if m[i] < e:
                 break
         else:
-            return value
-    return None
+            return True
+    return False
 
 
 def minimalize(rows):
@@ -165,13 +163,13 @@ def colon_by_monomial(rows, g):
 def _walks(rows):
     """The cache entry of one ideal: the residue at the end of each walk
     taken over rows, keyed on the walk and seeded with the empty walk, and
-    the support forms of rows, each paired with its row, once a step has
-    built them.  The colons of one ideal run back to back over the same
-    rows, so one entry serves them all."""
+    the support forms of rows, once a step has built them.  The colons of
+    one ideal run back to back over the same rows, so one entry serves them
+    all."""
     return {(): ()}, []
 
 
-def _step(rows, head, residues, i, entries):
+def _step(rows, head, residues, i, supports):
     """R_(head + (i,)) from residues = R_head, as a list.
 
     A residue a with a x_i in I passes through: some b = g - x_i with
@@ -204,9 +202,9 @@ def _step(rows, head, residues, i, entries):
                     lcms.add(tuple(map(max, a, b)))
     if not lcms:
         return kept
-    if not entries:
-        entries.extend(_supports(rows, rows))
-    grown = [m for m in lcms if _first_divisor(entries, m) is None]
+    if not supports:
+        supports.extend(_supports(rows))
+    grown = [m for m in lcms if not _support_divides(supports, m)]
     if not grown:
         return kept
     return _minimalize(kept + grown)
@@ -238,13 +236,13 @@ def colon_residues(rows, indices):
     if not indices:
         raise ValueError("colon by the zero ideal is undefined")
     rows = tuple(rows)
-    ends, entries = _walks(rows)
+    ends, supports = _walks(rows)
     k = len(indices)
     while indices[:k] not in ends:
         k -= 1
     residues = ends[indices[:k]]
     for n in range(k, len(indices)):
-        residues = _step(rows, indices[:n], residues, indices[n], entries)
+        residues = _step(rows, indices[:n], residues, indices[n], supports)
     ends[indices] = residues
     return list(residues)
 

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
+from operator import add, itemgetter
 
 from semicurve import kernels
 from semicurve.errors import InternalCheckError, UserInputError
@@ -125,14 +125,6 @@ def _pure_powers(ideal):
     return pure
 
 
-def _require_primary(ideal, pure):
-    """Raise unless pure, the _pure_powers of ideal, holds every variable."""
-    missing = next((i for i in range(ideal.arity) if i not in pure), None)
-    if missing is not None:
-        raise UserInputError(
-            f"ideal is not primary to the maximal ideal: no pure power of x{missing}")
-
-
 def reduce_variables(ideal):
     """Drop variables unused by every generator; return (ideal, dropped).
 
@@ -149,20 +141,10 @@ def reduce_variables(ideal):
     return MonomialIdeal(len(used), gens, weights=weights, _minimal=True), dropped
 
 
-def socle_complement(ideal):
-    """Minimal generators of I : (all variables) that are not in I.
-
-    This is the finite candidate set for closure elements outside I.
-    Raises on ideals without a pure power of every variable, since the
-    finiteness argument needs the quotient by I to have finite length."""
-    if ideal.is_zero or ideal.is_unit:
-        raise UserInputError("socle complement needs a proper nonzero ideal")
-    _require_primary(ideal, _pure_powers(ideal))
-    return _socle_walk(ideal)
-
-
 def _socle_walk(ideal):
-    """socle_complement past its checks."""
+    """Minimal generators of I : (all variables) that are not in I: the
+    finite candidate set for closure elements outside I when I is primary
+    to the maximal ideal (socle_probe checks that first)."""
     return descending(kernels.colon_residues(ideal.gens, range(ideal.arity)), ideal.weights)
 
 
@@ -301,9 +283,11 @@ def socle_probe(ideal, depth, powers=None, candidates=None):
     until a test fails, so every row is exact.  One power_membership
     predicate serves every test, which reads the rows of I^k from powers.
 
-    candidates, when given, must equal socle_complement(ideal), which is
-    computed otherwise (survey.run_instance passes its colon by x1..xn).
-    The bounded test reads the pure powers off powers.pure."""
+    candidates, when given, must equal _socle_walk(ideal), the minimal
+    generators of I : (all variables) outside I (survey.run_instance passes
+    its colon by x1..xn).  Otherwise they are walked here, after a check
+    that I is primary to the maximal ideal, without which they need not
+    be finite.  The bounded test reads the pure powers off powers.pure."""
     if depth < 1:
         raise UserInputError("probe depth must be at least 1")
     if ideal.is_zero or ideal.is_unit:
@@ -312,7 +296,10 @@ def socle_probe(ideal, depth, powers=None, candidates=None):
         powers = PowerCache(ideal)
     pure = powers.pure
     if candidates is None:
-        _require_primary(ideal, pure)
+        missing = next((i for i in range(ideal.arity) if i not in pure), None)
+        if missing is not None:
+            raise UserInputError(
+                f"ideal is not primary to the maximal ideal: no pure power of x{missing}")
         candidates = _socle_walk(ideal)
     degenerate = (0,) * ideal.arity in candidates
     contains = kernels.power_membership(ideal.gens)
@@ -336,7 +323,8 @@ def socle_probe(ideal, depth, powers=None, candidates=None):
     hits = [(row.index(True) + 1, c) for c, row in zip(candidates, table) if True in row]
     if hits:
         verdict = Verdict.NOT_CLOSED
-        witness_depth, witness = min(hits, key=lambda t: (t[0], candidates.index(t[1])))
+        # hits follow the candidates, so min keeps the first at the least depth
+        witness_depth, witness = min(hits, key=itemgetter(0))
         certify_witness(ideal, witness, witness_depth, powers)
     return SocleProbeReport(ideal, depth, candidates, table, verdict,
                             witness, witness_depth, degenerate)

@@ -24,7 +24,8 @@ Both `derive` and `validate` read A through these residues
 - Otherwise m_i is redundant iff mn divides m_i, or m_i - b*mn lies in A
   for some 1 <= b <= min(P, (m_i - m0)//mn).  A remainder below m_i never
   uses m_i, a nonzero element of A is at least m0, and P*mn = lcm(m0, mn)
-  lies in A, so a b > P reduces to b - P.
+  lies in A, so a b > P reduces to b - P.  G divides m_i and A but is
+  prime to mn, so only the multiples b of G need a test.
 - mn is redundant iff it lies in A.
 Past the budgets, only gcd 1 and minimal generation read mn, and
 `_ArithmeticPart.extra_failure` decides both, so survey enumeration
@@ -84,11 +85,11 @@ class _ArithmeticPart:
         no earlier m_i."""
         if math.gcd(self.G, extra) != 1:
             return "generators must have gcd 1"
-        arith, m0, M = self.arith, self.m0, self.M
+        arith, m0, G, M = self.arith, self.m0, self.G, self.M
         P = m0 // math.gcd(m0, extra)
         for i, m in enumerate(arith[:M]):
             if m % extra == 0 or (m - m0 >= extra and any(
-                    m - b * extra in self for b in range(1, min(P, (m - m0) // extra) + 1))):
+                    m - b * extra in self for b in range(G, min(P, (m - m0) // extra) + 1, G))):
                 redundant = (f"m{i}", m)
                 break
         else:

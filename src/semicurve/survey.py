@@ -342,9 +342,10 @@ def run_instance(curve, depth=4):
 
     When x0 alone is unused, which holds for every curve's initial ideal,
     the Ratliff-Rush stage takes its socle candidates from the comparator's
-    colon by x1..xn (SOCLE_RHO_CHI) with the x0 exponent dropped: that is
-    socle_complement of the reduced ideal, in the same order, so the colon
-    is walked once."""
+    colon by x1..xn (SOCLE_RHO_CHI) with the x0 exponent dropped: those
+    are the minimal generators of the reduced ideal's colon by all its
+    variables outside it, in socle_probe's order, so the colon is walked
+    once."""
     front = front_half(curve)
     failures = list(front.failures)
 

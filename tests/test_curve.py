@@ -112,24 +112,24 @@ def test_zero_convention_drops_are_reported():
 
 
 def test_closed_form_rows_have_names_and_ranges():
+    # The degenerate p = 2 sub-ranges 1..0 are flagged by row name, in row order.
     table = closed_form_table(W_DP, W, ClosedForm.COLON_X1_TO_P)
-    names = [row.name for row in table.rows]
-    assert len(names) == len(set(names)) == 4
-    assert any(row.empty_range for row in table.rows)
-    assert table.empty_ranges  # degenerate p = 2 sub-ranges are flagged
+    assert table.empty_ranges == ("x_i*x_p^q", "x_i*x_p^(q-q_z-eps)*x_n^(v-w)")
+
+
+DELTA_ROW = "chi: delta(q_z=0) x_i*x_p^(q-1)*x_n^(v-w-1)"
 
 
 def test_delta_gated_row_activation():
     # The q_z = 0 gate must switch the extra row on and off (both instances
-    # use the same case's table; only q_z differs).
+    # use the same case's table; only q_z differs).  Its range is empty on
+    # both, 1..0 and 2..1, so only a displayed row is flagged.
     t_on = closed_form_table(W_DP, W, ClosedForm.SOCLE_RHO_CHI)  # q_z = 0
     off_curve = CurveInstance.parse("21,22,23,24;16")            # q_z = 1
     t_off = closed_form_table(derive(off_curve), off_curve,
                               ClosedForm.SOCLE_RHO_CHI)
-    gated_on = [row for row in t_on.rows if "delta" in row.name]
-    gated_off = [row for row in t_off.rows if "delta" in row.name]
-    assert gated_on and all(row.active for row in gated_on)
-    assert gated_off and not any(row.active for row in gated_off)
+    assert DELTA_ROW in t_on.empty_ranges
+    assert DELTA_ROW not in t_off.empty_ranges
 
 
 def test_binomial_text_and_json():

@@ -286,11 +286,12 @@ def test_colon_residues_match_generic_colon_on_sparse_rows():
     for walk in ([3], range(7)):
         _check_residues(unit, walk)
     # The unit monomial's support is empty and divides every target.
-    entries = kernels._supports([(0, 2, 0, 0, 0, 1), (0,) * 6], "ab")
-    assert entries[1] == ((), "b")
-    assert kernels._first_divisor(entries, (0, 1, 0, 0, 0, 1)) == "b"
-    assert kernels._first_divisor(entries, (7, 2, 0, 0, 0, 1)) == "a"
-    assert kernels._first_divisor(entries[:1], (7, 1, 9, 9, 9, 9)) is None
+    supports = kernels._supports([(0, 2, 0, 0, 0, 1), (0,) * 6])
+    assert supports == [((1, 2), (5, 1)), ()]
+    assert kernels._support_divides(supports[1:], (0, 1, 0, 0, 0, 1))
+    assert not kernels._support_divides(supports[:1], (0, 1, 0, 0, 0, 1))
+    assert kernels._support_divides(supports[:1], (7, 2, 0, 0, 0, 1))
+    assert not kernels._support_divides(supports[:1], (7, 1, 9, 9, 9, 9))
 
 
 def _memo_spans(arity):

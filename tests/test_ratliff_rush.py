@@ -21,7 +21,6 @@ from semicurve.ratliff_rush import (
     rr_chain,
     run_stage,
     scaled_in_power,
-    socle_complement,
     socle_probe,
     verdict_payload,
 )
@@ -113,14 +112,14 @@ def test_primary_to_max():
     assert run_stage(MonomialIdeal(1, [(3,)]), 1)[1] is not None
 
 
-def test_socle_complement():
-    assert set(socle_complement(_w_reduced())) == {(0, 0, 2), (0, 1, 0), (1, 0, 0)}
+def test_socle_probe_candidates_and_input_checks():
+    assert set(socle_probe(_w_reduced(), 1).candidates) == {(0, 0, 2), (0, 1, 0), (1, 0, 0)}
     with pytest.raises(UserInputError):
-        socle_complement(MonomialIdeal(2, []))
+        socle_probe(MonomialIdeal(2, []), 1)
     with pytest.raises(UserInputError):
-        socle_complement(MonomialIdeal(2, [(0, 0)]))
-    with pytest.raises(UserInputError):
-        socle_complement(MonomialIdeal(2, [(1, 2)]))
+        socle_probe(MonomialIdeal(2, [(0, 0)]), 1)
+    with pytest.raises(UserInputError, match="not primary"):
+        socle_probe(MonomialIdeal(2, [(1, 2)]), 1)
 
 
 def test_chain_input_validation():
@@ -186,7 +185,7 @@ def test_power_cache():
 def test_run_stage_probes_only_primary_ideals():
     chain, probe = run_stage(NEGATIVE_CONTROL, 2)
     assert chain.witness == probe.witness == (2, 2)
-    assert probe.candidates == socle_complement(NEGATIVE_CONTROL)
+    assert probe.candidates == ratliff_rush._socle_walk(NEGATIVE_CONTROL)
     chain, probe = run_stage(MonomialIdeal(2, [(1, 1), (0, 2)]), 2)
     assert probe is None and chain.depth == 2
     with pytest.raises(UserInputError):
@@ -272,12 +271,12 @@ def test_run_stage_makes_one_membership_pass(monkeypatch):
 
 def test_run_instance_takes_the_candidates_from_the_socle_colon(corpus, monkeypatch):
     # A curve's initial ideal never uses x0, so the comparator's colon by
-    # x1..xn gives the candidates, in socle_complement's order.  Rerun, a
+    # x1..xn gives the candidates, in _socle_walk's order.  Rerun, a
     # sample of instances walks no colon again, no corpus stage reads a
     # power, and each stage scans its generators for pure powers once.
     for rep in corpus.instances:
         assert rep.dropped_vars == (0,)
-        assert rep.probe.candidates == socle_complement(rep.rr.ideal)
+        assert rep.probe.candidates == ratliff_rush._socle_walk(rep.rr.ideal)
     sample = corpus.instances[::24]
     walks = _counting(monkeypatch, ratliff_rush, "_socle_walk")
     reads = _counting(monkeypatch, PowerCache, "get")

@@ -13,7 +13,7 @@ from semicurve import survey as survey_module
 from semicurve.curve import closed_form_table, initial_closed_form
 from semicurve.errors import UserInputError
 from semicurve.ideals import MonomialIdeal
-from semicurve.ratliff_rush import reduce_variables, socle_complement
+from semicurve.ratliff_rush import _socle_walk, reduce_variables
 from semicurve.semigroup import MAX_P, CurveInstance, derive, validate
 from semicurve.survey import (
     Bounds,
@@ -280,7 +280,7 @@ def _assert_engine_lists_match_generic_colon(rep):
         assert c.ideal_equal == (MonomialIdeal(a, ideal.gens + c.literal)
                                  == MonomialIdeal(a, ideal.gens + c.engine)), c.selector
     reduced, _ = reduce_variables(ideal)
-    socle = socle_complement(reduced)
+    socle = _socle_walk(reduced)
     assert socle == MonomialIdeal(reduced.arity, socle, weights=reduced.weights).gens
     assert set(socle) == _colon_outside(reduced, range(reduced.arity))
 
