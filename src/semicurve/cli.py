@@ -5,6 +5,12 @@ probe, survey.  Instances are given as `m0,...,mp;mn` (e.g. 5,8,11;7);
 rr and probe also accept a monomial ideal as inline JSON or a path to a
 JSON file of the form {"arity": k, "gens": [[...], ...]}.
 
+Every handler returns (payload, text, exit code) and main alone writes
+it: the payload as compact JSON under --json, the text otherwise, to
+--out or stdout, and nothing when the handler raises.  survey picks its
+own format from --json and --format, so its payload is None and its text
+the emitted report.
+
 Exit codes: 0 success; 1 usage, user or validation error; 2 internal
 assertion failure; 3 a verified mismatch or NOT_CLOSED verdict.
 """
@@ -18,13 +24,7 @@ from semicurve.curve import patil_singh_generators
 from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import format_monomial
-from semicurve.ratliff_rush import (
-    Verdict,
-    reduce_variables,
-    run_stage,
-    socle_probe,
-    verdict_payload,
-)
+from semicurve.ratliff_rush import Verdict, reduce_variables, run_stage, socle_probe
 from semicurve.semigroup import CurveInstance, derive, validate
 from semicurve.survey import (
     Bounds,
@@ -102,173 +102,149 @@ def _write(args, data):
         raise UserInputError(f"cannot write {args.out!r}: {exc.strerror}") from None
 
 
-def _emit_json(args, payload):
-    _write(args, json.dumps(payload, sort_keys=True, separators=(",", ":")))
+def _monomials(monos):
+    return ", ".join(format_monomial(tuple(m)) for m in monos)
 
 
 def cmd_validate(args):
     curve = CurveInstance.parse(args.instance)
     report = validate(curve.arith, curve.extra)
-    if args.json:
-        _emit_json(args, {"instance": curve.text(), "ok": report.ok,
-                          "failures": list(report.failures)})
-    elif report.ok:
-        _write(args, f"{curve.text()}: valid")
-    else:
-        _write(args, "\n".join(f"{curve.text()}: {f}" for f in report.failures))
-    return 0 if report.ok else 1
+    lines = [f"{curve.text()}: {f}" for f in report.failures or ["valid"]]
+    return ({"instance": curve.text(), "ok": report.ok, "failures": list(report.failures)},
+            "\n".join(lines), 0 if report.ok else 1)
 
 
 def cmd_params(args):
     curve = _validated(args.instance)
-    dp = derive(curve)
-    if args.json:
-        _emit_json(args, {"instance": curve.text(), **dp.to_dict()})
-    else:
-        _write(args, "\n".join(f"{k} = {v}" for k, v in dp.to_dict().items()))
-    return 0
+    params = derive(curve).to_dict()
+    return ({"instance": curve.text(), **params},
+            "\n".join(f"{k} = {v}" for k, v in params.items()), 0)
 
 
 def cmd_gens(args):
     curve = _validated(args.instance)
     gens = patil_singh_generators(derive(curve), curve)
-    if args.json:
-        _emit_json(args, {"instance": curve.text(), "arity": curve.arity,
-                          "generators": [[list(b.lead), list(b.tail)] for b in gens]})
-    else:
-        _write(args, "\n".join(b.text() for b in gens))
-    return 0
+    return ({"instance": curve.text(), "arity": curve.arity,
+             "generators": [[list(b.lead), list(b.tail)] for b in gens]},
+            "\n".join(b.text() for b in gens), 0)
 
 
 def cmd_inideal(args):
     front = front_half(CurveInstance.parse(args.instance))
-    computed, closed = front.in_ideal_computed, front.in_ideal_closed
+    computed = front.in_ideal_computed
     match = front.in_ideal_match is MatchStatus.MATCH
-    if args.json:
-        _emit_json(args, {"arity": computed.arity, "gens": [list(g) for g in computed.gens],
-                          "closed_form_match": match})
-    else:
-        lines = [", ".join(format_monomial(m) for m in computed.gens)]
-        if not match:
-            lines.append("closed form disagrees: "
-                         + ", ".join(format_monomial(m) for m in closed.gens))
-        _write(args, "\n".join(lines))
-    return 0 if match else 3
+    lines = [_monomials(computed.gens)]
+    if not match:
+        lines.append("closed form disagrees: " + _monomials(front.in_ideal_closed.gens))
+    return ({"arity": computed.arity, "gens": [list(g) for g in computed.gens],
+             "closed_form_match": match}, "\n".join(lines), 0 if match else 3)
 
 
 def cmd_gb_verify(args):
     curve = CurveInstance.parse(args.instance)
     report = front_half(curve).gb
-    if args.json:
-        payload = {"instance": curve.text(), "passed": report.passed,
-                   "pairs_checked": report.pairs_checked,
-                   "pairs_skipped_coprime": report.pairs_skipped_coprime}
-        if not report.passed:
-            payload["failing_pair"] = list(report.failing_pair)
-        _emit_json(args, payload)
-    else:
-        if report.passed:
-            _write(args, f"{curve.text()}: Groebner basis confirmed "
+    payload = {"instance": curve.text(), "passed": report.passed,
+               "pairs_checked": report.pairs_checked,
+               "pairs_skipped_coprime": report.pairs_skipped_coprime}
+    if report.passed:
+        return payload, (f"{curve.text()}: Groebner basis confirmed "
                          f"({report.pairs_checked} pairs reduced, "
-                         f"{report.pairs_skipped_coprime} skipped)")
-        else:
-            _write(args, f"{curve.text()}: NOT a Groebner basis; "
-                         f"pair {report.failing_pair} leaves a nonzero remainder")
-    return 0 if report.passed else 3
+                         f"{report.pairs_skipped_coprime} skipped)"), 0
+    payload["failing_pair"] = list(report.failing_pair)
+    return payload, (f"{curve.text()}: NOT a Groebner basis; "
+                     f"pair {report.failing_pair} leaves a nonzero remainder"), 3
 
 
-_SELECTOR_FLAGS = {
-    "x1-pm1": COLON_SELECTORS[0],
-    "x1-p": COLON_SELECTORS[1],
-    "xn": COLON_SELECTORS[2],
-    "socle": COLON_SELECTORS[3],
-}
+_SELECTOR_FLAGS = dict(zip(("x1-pm1", "x1-p", "xn", "socle"), COLON_SELECTORS))
 
 
 def cmd_colon(args):
     front = front_half(CurveInstance.parse(args.instance))
     comparisons = [c for c in front.colon
                    if not args.selector or c.selector is _SELECTOR_FLAGS[args.selector]]
-    if args.json:
-        _emit_json(args, {"instance": front.instance.text(), "guard": front.guard.to_dict(),
-                          "comparisons": [c.to_dict() for c in comparisons]})
+    lines = [f"guards: {front.guard.status.value}"]
+    lines += [f"  {reason}" for reason in front.guard.reasons]
+    for c in comparisons:
+        lines.append(f"{c.selector.value} {c.match.value}")
+        lines.append("  published: " + (_monomials(c.literal) or "(empty)"))
+        if c.engine is None:
+            lines.append(f"  engine:    not computable ({c.note})")
+        else:
+            lines.append("  engine:    " + (_monomials(c.engine) or "(empty)"))
+            lines.append(f"  equal mod initial ideal: {str(c.ideal_equal).lower()}"
+                         f", as sets: {str(c.sets_equal).lower()}")
+    code = 3 if any(c.match is MatchStatus.MISMATCH for c in comparisons) else 0
+    return ({"instance": front.instance.text(), "guard": front.guard.to_dict(),
+             "comparisons": [c.to_dict() for c in comparisons]}, "\n".join(lines), code)
+
+
+def verdict_payload(chain=None, probe=None):
+    """JSON-ready verdict report for the rr (chain plus probe, from
+    run_stage) and probe (probe only) commands.  The depth, verdict and
+    witness are the chain's (under run_stage the probe's depth, verdict
+    and witness depth are the same, see there), and the probe's only when
+    no chain is given.  chain_equal appears only with a chain, degenerate
+    only without one, the probe fields are empty without a probe, and the
+    witness only on NOT_CLOSED."""
+    decided = probe if chain is None else chain
+    payload = {
+        "depth": decided.depth,
+        "verdict": decided.verdict.value,
+        "socle_candidates": [] if probe is None else [list(c) for c in probe.candidates],
+        "membership_table": [] if probe is None else [[bool(b) for b in row]
+                                                      for row in probe.membership_table],
+    }
+    if chain is None:
+        payload["degenerate"] = probe.degenerate
     else:
-        lines = [f"guards: {front.guard.status.value}"]
-        for reason in front.guard.reasons:
-            lines.append(f"  {reason}")
-        for c in comparisons:
-            lines.append(f"{c.selector.value} {c.match.value}")
-            lines.append("  published: "
-                         + (", ".join(format_monomial(m) for m in c.literal) or "(empty)"))
-            if c.engine is None:
-                lines.append(f"  engine:    not computable ({c.note})")
-            else:
-                lines.append("  engine:    "
-                             + (", ".join(format_monomial(m) for m in c.engine) or "(empty)"))
-                lines.append(f"  equal mod initial ideal: {str(c.ideal_equal).lower()}"
-                             f", as sets: {str(c.sets_equal).lower()}")
-        _write(args, "\n".join(lines))
-    return 3 if any(c.match is MatchStatus.MISMATCH for c in comparisons) else 0
+        payload["chain_equal"] = [bool(b) for b in chain.chain_equal]
+    if decided.witness is not None:
+        payload["witness"] = list(decided.witness)
+        payload["witness_depth"] = decided.witness_depth
+    return payload
 
 
-def _rr_payload_text(payload):
-    """Text form of a verdict_payload (rr and probe alike)."""
-    lines = [f"verdict: {payload['verdict']} (depth {payload['depth']})"]
+def _verdict(note, chain=None, probe=None):
+    """(payload, text, exit code) of rr and probe; the text opens with the
+    note on dropped variables, if any."""
+    payload = verdict_payload(chain, probe)
+    lines = [note] if note else []
+    lines.append(f"verdict: {payload['verdict']} (depth {payload['depth']})")
     if "chain_equal" in payload:
         lines.append("chain equals ideal per depth: "
                      + ", ".join(str(b).lower() for b in payload["chain_equal"]))
-    if payload.get("witness") is not None:
-        lines.append("witness: " + format_monomial(tuple(payload["witness"]))
-                     + f" at depth {payload.get('witness_depth')}")
+    if "witness" in payload:
+        lines.append(f"witness: {_monomials([payload['witness']])} "
+                     f"at depth {payload['witness_depth']}")
     if payload["socle_candidates"]:
-        cands = ", ".join(format_monomial(tuple(c)) for c in payload["socle_candidates"])
-        lines.append(f"socle candidates: {cands}")
+        lines.append(f"socle candidates: {_monomials(payload['socle_candidates'])}")
         for cand, row in zip(payload["socle_candidates"], payload["membership_table"]):
             hits = ", ".join(str(b).lower() for b in row)
-            lines.append(f"  {format_monomial(tuple(cand))}: in chain member per depth: {hits}")
-    return "\n".join(lines)
-
-
-def _emit_verdict(args, payload, note):
-    if args.json:
-        _emit_json(args, payload)
-    else:
-        text = _rr_payload_text(payload)
-        if note:
-            text = f"{note}\n{text}"
-        _write(args, text)
-    return 3 if payload["verdict"] == Verdict.NOT_CLOSED.value else 0
+            lines.append(f"  {_monomials([cand])}: in chain member per depth: {hits}")
+    code = 3 if payload["verdict"] == Verdict.NOT_CLOSED.value else 0
+    return payload, "\n".join(lines), code
 
 
 def cmd_rr(args):
     ideal, note = _parse_ideal(args.ideal)
-    payload = verdict_payload(*run_stage(ideal, args.depth))
-    return _emit_verdict(args, payload, note)
+    return _verdict(note, *run_stage(ideal, args.depth))
 
 
 def cmd_probe(args):
     ideal, note = _parse_ideal(args.ideal)
-    report = socle_probe(ideal, args.depth)
-    payload = verdict_payload(probe=report)
-    payload["degenerate"] = report.degenerate
-    return _emit_verdict(args, payload, note)
+    return _verdict(note, probe=socle_probe(ideal, args.depth))
 
 
 def cmd_run(args):
     curve = CurveInstance.parse(args.instance)
     report = run_instance(curve, args.depth)
-    if args.json:
-        _emit_json(args, report.to_dict(full=True))
-    else:
-        lines = [f"{curve.text()} {report.params.case.value}",
-                 "gb: " + ("passed" if report.gb.passed else "FAILED"),
-                 f"in_ideal: {report.in_ideal_match.value}"]
-        lines += [f"{c.selector.value}: {c.match.value}" for c in report.colon]
-        lines.append(f"verdict: {report.rr_verdict.value}")
-        for entry in report.errata:
-            lines.append(f"errata: {entry.text()}")
-        _write(args, "\n".join(lines))
-    return 3 if report.failed else 0
+    lines = [f"{curve.text()} {report.params.case.value}",
+             "gb: " + ("passed" if report.gb.passed else "FAILED"),
+             f"in_ideal: {report.in_ideal_match.value}"]
+    lines += [f"{c.selector.value}: {c.match.value}" for c in report.colon]
+    lines.append(f"verdict: {report.rr_verdict.value}")
+    lines += [f"errata: {entry.text()}" for entry in report.errata]
+    return report.to_dict(full=True), "\n".join(lines), 3 if report.failed else 0
 
 
 def cmd_survey(args):
@@ -277,10 +253,8 @@ def cmd_survey(args):
     bounds = Bounds(tuple(args.p), args.max_mp, args.max_mn)
     _write(args, b"")  # an unwritable --out fails before the survey runs
     report = survey(bounds, depth=args.depth)
-    fmt = Format(args.format) if args.format else (
-        Format.JSON if args.json else Format.TEXT)
-    _write(args, emit(report, fmt))
-    return 0 if report.ok else 3
+    fmt = Format.JSON if args.json else Format(args.format or Format.TEXT.value)
+    return None, emit(report, fmt), 0 if report.ok else 3
 
 
 def build_parser():
@@ -339,7 +313,11 @@ def main(argv=None):
         if not 1 <= getattr(args, "depth", 1) <= MAX_DEPTH:
             raise UserInputError(f"--depth must be between 1 and {MAX_DEPTH}, "
                                  f"got {args.depth}")
-        return args.handler(args)
+        payload, text, code = args.handler(args)
+        if args.json and payload is not None:
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        _write(args, text)
+        return code
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -330,29 +330,6 @@ def socle_probe(ideal, depth, powers=None, candidates=None):
                             witness, witness_depth, degenerate)
 
 
-def verdict_payload(chain=None, probe=None):
-    """JSON-ready verdict report for the rr (chain plus probe, from
-    run_stage) and probe (probe only) commands.  The depth, verdict and
-    witness are the chain's (under run_stage the probe's depth, verdict
-    and witness depth are the same, see there), and the probe's only when
-    no chain is given.  chain_equal appears only with a chain, the probe
-    fields are empty without a probe, and the witness only on NOT_CLOSED."""
-    decided = probe if chain is None else chain
-    payload = {
-        "depth": decided.depth,
-        "verdict": decided.verdict.value,
-        "socle_candidates": [] if probe is None else [list(c) for c in probe.candidates],
-        "membership_table": [] if probe is None else [[bool(b) for b in row]
-                                                      for row in probe.membership_table],
-    }
-    if chain is not None:
-        payload["chain_equal"] = [bool(b) for b in chain.chain_equal]
-    if decided.witness is not None:
-        payload["witness"] = list(decided.witness)
-        payload["witness_depth"] = decided.witness_depth
-    return payload
-
-
 def run_stage(ideal, depth, candidates=None):
     """The Ratliff-Rush stage: (chain, probe) over one shared PowerCache.
 

@@ -76,12 +76,7 @@ class GuardStatus(enum.Enum):
     GUARD_VIOLATED_INFO = "GUARD_VIOLATED_INFO"
 
 
-COLON_SELECTORS = (
-    ClosedForm.COLON_X1_TO_PM1,
-    ClosedForm.COLON_X1_TO_P,
-    ClosedForm.COLON_XN,
-    ClosedForm.SOCLE_RHO_CHI,
-)
+COLON_SELECTORS = tuple(ClosedForm)
 
 
 def _divisor_span(selector, instance):

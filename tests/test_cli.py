@@ -1,7 +1,22 @@
-"""Command-line interface: subcommands, exit codes, JSON payloads, files."""
+"""Command-line interface: subcommands, exit codes, JSON payloads, files.
+
+test_cli_bytes_match_the_recorded_digests pins the output of a fixed
+command list byte for byte.  After a change that means to alter the
+output, rewrite its digests with
+
+    PYTHONPATH=src python tests/test_cli.py
+
+and say in the change which commands moved.
+"""
+import contextlib
+import hashlib
+import io
 import json
+import re
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +32,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def steady(out):
+    """out without what differs from run to run: run --json's timings_ms
+    and the survey text's wall time."""
+    out = re.sub(r',"timings_ms":\{[^}]*\}', "", out)
+    return re.sub(r"\(\d+\.\d s\)\n\Z", "(wall time)\n", out)
 
 
 def test_validate_accepts_and_rejects(capsys):
@@ -446,9 +468,84 @@ SMOKE_CASES = [pytest.param([name, W], id=name) for name in (
 
 @pytest.mark.parametrize("mode", ["text", "json"])
 @pytest.mark.parametrize("argv", SMOKE_CASES)
-def test_every_subcommand_in_both_modes(capsys, argv, mode):
+def test_every_subcommand_in_both_modes(capsys, tmp_path, argv, mode):
     flags = ["--json"] if mode == "json" else []
     code, out, _ = run(capsys, argv[0], *flags, *argv[1:])
     assert code in (0, 3) and out.strip()
     if mode == "json":
         json.loads(out)
+    # --out FILE gets the bytes stdout got, and stdout nothing
+    target = tmp_path / "out"
+    assert run(capsys, argv[0], *flags, "--out", str(target), *argv[1:]) == (code, "", "")
+    assert steady(target.read_bytes().decode()) == steady(out)
+
+
+# The output of these commands is pinned: the sha256 of the exit code,
+# stdout and stderr of each, with the temporary directory read as TMP and
+# steady() applied, must equal its digest in cli_bytes.json.
+DIGESTS = Path(__file__).with_name("cli_bytes.json")
+INSTANCES = (W, "21,22,23,24;16", "22,24,26,28;39")
+# Ideal arguments, named in the command keys by their symbol.
+IDEALS = {
+    "NEGATIVE_CONTROL": NEGATIVE_CONTROL,
+    "NON_PRIMARY": json.dumps({"arity": 2, "gens": [[1, 1], [0, 2]]}),
+    "DEGREE_5_BUT_ONE": DEGREE_5_BUT_ONE,
+    "UNIT": json.dumps({"arity": 2, "gens": [[0, 0]]}),
+    "BAD_JSON": '{"arity": 2, "gens": [[1, 0]',
+    "MISSING_FILE": "TMP/missing.json",
+}
+SURVEY = "survey --p 1 --max-mp 6 --max-mn 6 --depth 2"
+
+
+def _commands():
+    """The pinned command lines, each in text and --json mode where it has one."""
+    lines = []
+    for inst in INSTANCES:
+        for sel in ("", " --selector socle", " --selector x1-p", " --selector x1-pm1",
+                    " --selector xn"):
+            lines.append(f"colon{{}}{sel} {inst}")
+    for depth in (1, 4, 8):
+        for inst in INSTANCES:
+            lines += [f"{cmd}{{}} --depth {depth} {inst}" for cmd in ("rr", "probe", "run")]
+        for ideal in ("NEGATIVE_CONTROL", "NON_PRIMARY"):
+            lines += [f"{cmd}{{}} --depth {depth} {ideal}" for cmd in ("rr", "probe")]
+    lines.append("rr{} --depth 4 DEGREE_5_BUT_ONE")
+    for inst in INSTANCES + ("4,6,8;5", "bad"):
+        lines += [f"{cmd}{{}} {inst}"
+                  for cmd in ("validate", "params", "gens", "inideal", "gb-verify")]
+    lines += [f"{cmd}{{}} --depth 9 {W}" for cmd in ("rr", "probe", "run")]
+    lines += [f"{cmd}{{}} {ideal}" for cmd in ("rr", "probe")
+              for ideal in ("UNIT", "BAD_JSON", "MISSING_FILE")]
+    lines += [f"{cmd}{{}} --out TMP/missing/out {W}"
+              for cmd in ("validate", "params", "gens", "inideal", "gb-verify", "colon",
+                          "rr", "probe", "run")]
+    lines += [SURVEY + "{}", SURVEY + "{} --out TMP/missing/out"]
+    commands = [line.format(flag) for line in lines for flag in ("", " --json")]
+    commands += [f"{SURVEY} --format {fmt}" for fmt in ("text", "csv", "json")]
+    commands += [f"{SURVEY} --json --format {fmt}" for fmt in ("json", "csv")]
+    return commands + ["frobnicate", ""]
+
+
+def _digest(command, tmp):
+    argv = [IDEALS.get(word, word).replace("TMP", tmp) for word in command.split()]
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = (s.flush() or s.buffer.getvalue().decode() for s in (out, err))
+    seen = json.dumps([code, steady(out).replace(tmp, "TMP"), err.replace(tmp, "TMP")])
+    return hashlib.sha256(seen.encode()).hexdigest()
+
+
+def _digests(tmp):
+    return {command: _digest(command, tmp) for command in _commands()}
+
+
+def test_cli_bytes_match_the_recorded_digests(tmp_path):
+    want, got = json.loads(DIGESTS.read_text()), _digests(str(tmp_path))
+    assert sorted(got) == sorted(want)
+    assert [c for c in got if got[c] != want[c]] == []
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        DIGESTS.write_text(json.dumps(_digests(tmp), indent=0, sort_keys=True) + "\n")

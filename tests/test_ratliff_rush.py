@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicurve import kernels, ratliff_rush
+from semicurve.cli import verdict_payload
 from semicurve.curve import initial_closed_form
 from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
@@ -22,7 +23,6 @@ from semicurve.ratliff_rush import (
     run_stage,
     scaled_in_power,
     socle_probe,
-    verdict_payload,
 )
 from semicurve.semigroup import CurveInstance, derive
 from semicurve.survey import run_instance
