@@ -233,6 +233,15 @@ def test_emit_golden_bytes(mini):
         "4668682dfdeefbf0756f028272312c904e0e27ce17eaa3872e65bf477bbc31ec")
 
 
+def test_emit_corpus_golden_bytes(corpus):
+    # The acceptance corpus's reports, pinned like the mini survey's: a
+    # change that moves them changes what the corpus survey publishes.
+    assert hashlib.sha256(emit(corpus, Format.JSON)).hexdigest() == (
+        "76664333bc667e97eb168d26fa91f0fc5e08b78b70a994d4af5a67c55d8596e4")
+    assert hashlib.sha256(emit(corpus, Format.CSV)).hexdigest() == (
+        "af6bcf0bb139aa41dce6638c443683d00930b98887f31e96156757191d01ed8e")
+
+
 def test_emit_csv_layout(mini):
     lines = emit(mini, Format.CSV).decode().splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
