@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: validate, params, gens, inideal, gb-verify, colon, rr,
-probe, survey.  Instances are given as `m0,...,mp;mn` (e.g. 5,8,11;7);
-rr and probe also accept a monomial ideal as inline JSON or a path to a
+Subcommands: validate, params, gens, inideal, gb-verify, colon, rr (also
+named probe), run, survey.  Instances are given as `m0,...,mp;mn` (e.g.
+5,8,11;7); rr also accepts a monomial ideal as inline JSON or a path to a
 JSON file of the form {"arity": k, "gens": [[...], ...]}.
 
 Every handler returns (payload, text, exit code) and main alone writes
@@ -24,7 +24,7 @@ from semicurve.curve import patil_singh_generators
 from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
 from semicurve.monomials import format_monomial
-from semicurve.ratliff_rush import Verdict, reduce_variables, run_stage, socle_probe
+from semicurve.ratliff_rush import Verdict, reduce_variables, run_stage
 from semicurve.semigroup import CurveInstance, derive, validate
 from semicurve.survey import (
     Bounds,
@@ -178,41 +178,33 @@ def cmd_colon(args):
              "comparisons": [c.to_dict() for c in comparisons]}, "\n".join(lines), code)
 
 
-def verdict_payload(chain=None, probe=None):
-    """JSON-ready verdict report for the rr (chain plus probe, from
-    run_stage) and probe (probe only) commands.  The depth, verdict and
-    witness are the chain's (under run_stage the probe's depth, verdict
-    and witness depth are the same, see there), and the probe's only when
-    no chain is given.  chain_equal appears only with a chain, degenerate
-    only without one, the probe fields are empty without a probe, and the
-    witness only on NOT_CLOSED."""
-    decided = probe if chain is None else chain
+def verdict_payload(report):
+    """JSON-ready report of rr (and of probe, its alias) from run_stage's
+    RRReport.  The probe fields are empty, and degenerate false, when the
+    ideal is not primary; the witness appears only on NOT_CLOSED."""
     payload = {
-        "depth": decided.depth,
-        "verdict": decided.verdict.value,
-        "socle_candidates": [] if probe is None else [list(c) for c in probe.candidates],
-        "membership_table": [] if probe is None else [[bool(b) for b in row]
-                                                      for row in probe.membership_table],
+        "depth": report.depth,
+        "verdict": report.verdict.value,
+        "chain_equal": list(report.chain_equal),
+        "socle_candidates": [list(c) for c in report.candidates or ()],
+        "membership_table": [list(row) for row in report.membership_table or ()],
+        "degenerate": bool(report.degenerate),
     }
-    if chain is None:
-        payload["degenerate"] = probe.degenerate
-    else:
-        payload["chain_equal"] = [bool(b) for b in chain.chain_equal]
-    if decided.witness is not None:
-        payload["witness"] = list(decided.witness)
-        payload["witness_depth"] = decided.witness_depth
+    if report.witness is not None:
+        payload["witness"] = list(report.witness)
+        payload["witness_depth"] = report.witness_depth
     return payload
 
 
-def _verdict(note, chain=None, probe=None):
-    """(payload, text, exit code) of rr and probe; the text opens with the
-    note on dropped variables, if any."""
-    payload = verdict_payload(chain, probe)
+def cmd_rr(args):
+    """(payload, text, exit code) of rr; the text opens with the note on
+    dropped variables, if any."""
+    ideal, note = _parse_ideal(args.ideal)
+    payload = verdict_payload(run_stage(ideal, args.depth))
     lines = [note] if note else []
     lines.append(f"verdict: {payload['verdict']} (depth {payload['depth']})")
-    if "chain_equal" in payload:
-        lines.append("chain equals ideal per depth: "
-                     + ", ".join(str(b).lower() for b in payload["chain_equal"]))
+    lines.append("chain equals ideal per depth: "
+                 + ", ".join(str(b).lower() for b in payload["chain_equal"]))
     if "witness" in payload:
         lines.append(f"witness: {_monomials([payload['witness']])} "
                      f"at depth {payload['witness_depth']}")
@@ -223,16 +215,6 @@ def _verdict(note, chain=None, probe=None):
             lines.append(f"  {_monomials([cand])}: in chain member per depth: {hits}")
     code = 3 if payload["verdict"] == Verdict.NOT_CLOSED.value else 0
     return payload, "\n".join(lines), code
-
-
-def cmd_rr(args):
-    ideal, note = _parse_ideal(args.ideal)
-    return _verdict(note, *run_stage(ideal, args.depth))
-
-
-def cmd_probe(args):
-    ideal, note = _parse_ideal(args.ideal)
-    return _verdict(note, probe=socle_probe(ideal, args.depth))
 
 
 def cmd_run(args):
@@ -265,8 +247,8 @@ def build_parser():
                     "Ratliff-Rush closedness probing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, instance=False, ideal=False, depth=False):
-        sp = sub.add_parser(name, help=help_text)
+    def add(name, handler, help_text, instance=False, ideal=False, depth=False, aliases=()):
+        sp = sub.add_parser(name, help=help_text, aliases=aliases)
         sp.set_defaults(handler=handler)
         sp.add_argument("--json", action="store_true", help="emit JSON")
         sp.add_argument("--out", metavar="FILE", help="write output to FILE")
@@ -290,9 +272,7 @@ def build_parser():
     sp.add_argument("--selector", choices=sorted(_SELECTOR_FLAGS),
                     help="compare a single list (default: all)")
     add("rr", cmd_rr, "colon chain plus socle probe on an ideal",
-        ideal=True, depth=True)
-    add("probe", cmd_probe, "socle-complement probe on an ideal",
-        ideal=True, depth=True)
+        ideal=True, depth=True, aliases=["probe"])
     add("run", cmd_run, "full pipeline on one instance", instance=True,
         depth=True)
 

@@ -5,9 +5,11 @@ ideals I^(k+1) : I^k over all k >= 1; I is closed when the union adds
 nothing.  A closed verdict is always labelled evidence: the chain
 inspects finitely many depths, and where the bounded test below proves
 more, the reports do not say so yet.  A not-closed verdict,
-by contrast, is final: it carries a witness monomial that certify_witness
-re-checks with two membership engines, the divisibility scan over the
-built powers and the generic colon, neither of which found it.
+by contrast, is final: it carries a witness monomial, the first generator
+outside I of the first J_k larger than I, that certify_witness re-checks
+by the divisibility scan over the built powers.  The stage reports once,
+in one RRReport: the chain, the verdict and the witness, and for a
+primary ideal the probe's candidates and table besides.
 
 For ideals primary to the maximal monomial ideal one membership pass
 decides the chain.  Take s in J_k = I^(k+1) : I^k outside I and multiply
@@ -15,9 +17,9 @@ it by variables while the product stays outside I: the walk stays in the
 ideal J_k, and since only finitely many monomials lie outside I it ends
 at one that every variable pushes into I, a minimal generator of
 I : (all variables) outside I.  socle_probe tests exactly those
-candidates, and rr_chain reads J_k = I off its table wherever no
-candidate passes.  Only a depth where one passes, or an ideal that is
-not primary, pays for the generic colon.
+candidates, and its report takes J_k = I wherever no candidate passes.
+Only a depth where one passes, or an ideal that is not primary (which
+rr_chain reports on), pays for the generic colon.
 
 The chain ascends, J_1 <= J_2 <= ... (s * I^k <= I^(k+1) gives
 s * I^(k+1) <= I^(k+2)), so each row of the table is False up to some
@@ -53,9 +55,9 @@ kernel rows, which only the generic colon wraps in MonomialIdeals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from operator import add, itemgetter
+from operator import add
 
 from semicurve import kernels
 from semicurve.errors import InternalCheckError, UserInputError
@@ -175,7 +177,8 @@ def certify_witness(ideal, witness, k, powers):
     """Re-verify a not-closed witness with both membership engines: it must
     lie outside I, scale I^k into I^(k+1) by the divisibility scan over the
     built powers, and lie in the generic colon I^(k+1) : I^k, which powers
-    computes once per k.  socle_probe finds witnesses with neither engine."""
+    computes once per k.  The stage reads its witness off that colon, so
+    the scan is the check independent of where the witness came from."""
     if witness in ideal:
         raise InternalCheckError("witness lies in the ideal")
     if not scaled_in_power(witness, powers.get(k), powers.get(k + 1)):
@@ -185,91 +188,92 @@ def certify_witness(ideal, witness, k, powers):
 
 
 @dataclass(frozen=True)
-class RRChainReport:
+class RRReport:
+    """The Ratliff-Rush stage's one report.  The probe fields are None when
+    I is not primary to the maximal ideal, where no probe runs."""
     ideal: MonomialIdeal
     depth: int
-    chain: tuple            # J_k = I^(k+1) : I^k for k = 1..depth
-    chain_equal: tuple      # J_k == I per k
-    stabilized_at: int | None
+    chain: tuple                        # J_k = I^(k+1) : I^k for k = 1..depth
     verdict: Verdict
     witness: tuple | None = None
     witness_depth: int | None = None
+    candidates: tuple | None = None     # socle-complement monomials, fixed order
+    membership_table: tuple | None = None  # per candidate: c * I^k <= I^(k+1), k = 1..depth
+    degenerate: bool | None = None      # unit monomial among candidates (I : vars = (1))
+
+    @property
+    def chain_equal(self):
+        """J_k == I per k."""
+        return tuple(j == self.ideal for j in self.chain)
+
+    @property
+    def stabilized_at(self):
+        """The least k with J_k == J_depth."""
+        k = self.depth
+        while k > 1 and self.chain[k - 2] == self.chain[-1]:
+            k -= 1
+        return k
 
 
-def rr_chain(ideal, depth, powers=None, probe=None):
-    """Compute the colon chain J_k = I^(k+1) : I^k for k = 1..depth.
-
-    Given the socle probe of the same ideal and depth, J_k is I at every
-    depth where no candidate passes (see the module docstring).  Every
-    other J_k is the generic colon, which must differ from I where a
-    candidate passes.  Verdict is CLOSED_EVIDENCE iff every J_k equals I
-    (evidence only: deeper colons could still grow), NOT_CLOSED with a
-    certified witness as soon as some J_k is strictly larger.  The chain
-    must ascend and start at or above I; violations are internal errors."""
+def _checked(ideal, depth):
+    """Reject a depth below 1 and the zero and unit ideals."""
     if depth < 1:
         raise UserInputError("chain depth must be at least 1")
     if ideal.is_zero or ideal.is_unit:
         raise UserInputError("colon chain needs a proper nonzero ideal")
-    if powers is None:
-        powers = PowerCache(ideal)
-    # per depth: does some candidate pass there (always asked without a probe)
-    grown = ((True,) * depth if probe is None
-             else tuple(map(any, zip(*probe.membership_table))) or (False,) * depth)
+
+
+def _report(ideal, depth, powers, candidates=None, table=None, degenerate=None):
+    """The report on the chain J_1..J_depth, and on the probe when table is
+    given.  Without a table every J_k is the generic colon.  With one, J_k
+    is I at every depth where no candidate passes (see the module
+    docstring), and the generic colon, which must then differ from I,
+    where one does.  The chain must ascend and start at or above I;
+    violations are internal errors.  The verdict is CLOSED_EVIDENCE iff
+    every J_k equals I (evidence only: deeper colons could still grow),
+    and NOT_CLOSED otherwise, with the first generator outside I of the
+    first larger J_k as its certified witness."""
+    # per depth: does some candidate pass there (always asked without a table)
+    passes = ((True,) * depth if table is None
+              else tuple(map(any, zip(*table))) or (False,) * depth)
     chain = []
     for k in range(1, depth + 1):
-        if grown[k - 1]:
+        if passes[k - 1]:
             j_k = powers.colon(k)
-            if probe is not None and j_k == ideal:
+            if table is not None and j_k == ideal:
                 raise InternalCheckError(f"a socle candidate passes at depth {k} but J_{k} = I")
         else:
             j_k = ideal
-        below = ideal if not chain else chain[-1]
+        below = chain[-1] if chain else ideal
         if below is not j_k and not below.is_subset_of(j_k):
             raise InternalCheckError(f"colon chain not ascending at depth {k}")
         chain.append(j_k)
-    chain = tuple(chain)
-    chain_equal = tuple(j is ideal or j == ideal for j in chain)
-
-    stabilized_at = None
-    for k in range(depth, 0, -1):
-        if chain[k - 1] == chain[depth - 1]:
-            stabilized_at = k
-        else:
-            break
-
-    witness = witness_depth = None
-    if all(chain_equal):
-        verdict = Verdict.CLOSED_EVIDENCE
-    else:
-        verdict = Verdict.NOT_CLOSED
-        witness_depth = chain_equal.index(False) + 1
-        grown = chain[witness_depth - 1]
-        witness = next(g for g in grown.gens if g not in ideal)
-        certify_witness(ideal, witness, witness_depth, powers)
-    return RRChainReport(ideal, depth, chain, chain_equal, stabilized_at,
-                         verdict, witness, witness_depth)
+    report = RRReport(ideal, depth, tuple(chain), Verdict.CLOSED_EVIDENCE,
+                      candidates=candidates, membership_table=table, degenerate=degenerate)
+    if all(report.chain_equal):
+        return report
+    k = report.chain_equal.index(False) + 1
+    witness = next(g for g in chain[k - 1].gens if g not in ideal)
+    certify_witness(ideal, witness, k, powers)
+    return replace(report, verdict=Verdict.NOT_CLOSED, witness=witness, witness_depth=k)
 
 
-@dataclass(frozen=True)
-class SocleProbeReport:
-    ideal: MonomialIdeal
-    depth: int
-    candidates: tuple            # socle-complement monomials, fixed order
-    membership_table: tuple      # per candidate: c * I^k <= I^(k+1) for k = 1..depth
-    verdict: Verdict
-    witness: tuple | None = None
-    witness_depth: int | None = None
-    degenerate: bool = False     # unit monomial among candidates (I : vars = (1))
+def rr_chain(ideal, depth, powers=None):
+    """The report on the colon chain J_k = I^(k+1) : I^k, k = 1..depth,
+    each J_k taken by the generic colon, with no probe."""
+    _checked(ideal, depth)
+    return _report(ideal, depth, PowerCache(ideal) if powers is None else powers)
 
 
 def socle_probe(ideal, depth, powers=None, candidates=None):
-    """Probe every socle-complement candidate against the colon chain.
+    """Probe every socle-complement candidate against the colon chain, and
+    report on the chain that the probe's table decides.
 
     A candidate passing c * I^k <= I^(k+1) at any k <= depth lies in the
-    closure but not in I, so the verdict is NOT_CLOSED with that witness.
-    If all candidates fail at every probed depth the finite filter is
-    passed and the verdict is CLOSED_EVIDENCE.  The table is the stage's
-    one membership pass: rr_chain reads J_k = I off it.
+    closure but not in I, so J_k grows past I there and the verdict is
+    NOT_CLOSED, with the witness the chain gives.  If all candidates fail
+    at every probed depth, every J_k is I and the verdict is
+    CLOSED_EVIDENCE, with no colon taken.
 
     First the bounded test (_refuted) asks, for each variable x_i with
     pure power x_i^a, whether c * x_i^(aK) lies in I^(K+1), with
@@ -288,10 +292,7 @@ def socle_probe(ideal, depth, powers=None, candidates=None):
     its colon by x1..xn).  Otherwise they are walked here, after a check
     that I is primary to the maximal ideal, without which they need not
     be finite.  The bounded test reads the pure powers off powers.pure."""
-    if depth < 1:
-        raise UserInputError("probe depth must be at least 1")
-    if ideal.is_zero or ideal.is_unit:
-        raise UserInputError("socle probe needs a proper nonzero ideal")
+    _checked(ideal, depth)
     if powers is None:
         powers = PowerCache(ideal)
     pure = powers.pure
@@ -301,7 +302,6 @@ def socle_probe(ideal, depth, powers=None, candidates=None):
             raise UserInputError(
                 f"ideal is not primary to the maximal ideal: no pure power of x{missing}")
         candidates = _socle_walk(ideal)
-    degenerate = (0,) * ideal.arity in candidates
     contains = kernels.power_membership(ideal.gens)
 
     def passes(c, k):   # c * I^k <= I^(k+1)
@@ -316,39 +316,23 @@ def socle_probe(ideal, depth, powers=None, candidates=None):
         while k and passes(c, k):
             k -= 1
         table.append((False,) * k + (True,) * (depth - k))
-    table = tuple(table)
-
-    witness = witness_depth = None
-    verdict = Verdict.CLOSED_EVIDENCE
-    hits = [(row.index(True) + 1, c) for c, row in zip(candidates, table) if True in row]
-    if hits:
-        verdict = Verdict.NOT_CLOSED
-        # hits follow the candidates, so min keeps the first at the least depth
-        witness_depth, witness = min(hits, key=itemgetter(0))
-        certify_witness(ideal, witness, witness_depth, powers)
-    return SocleProbeReport(ideal, depth, candidates, table, verdict,
-                            witness, witness_depth, degenerate)
+    return _report(ideal, depth, powers, candidates, tuple(table),
+                   (0,) * ideal.arity in candidates)
 
 
 def run_stage(ideal, depth, candidates=None):
-    """The Ratliff-Rush stage: (chain, probe) over one shared PowerCache.
+    """The Ratliff-Rush stage: one RRReport over one PowerCache.
 
-    The probe runs first, and only when the ideal is primary to the
-    maximal ideal, which for a monomial ideal means that every variable
-    has a pure power among the generators; otherwise it is None.
-    rr_chain reads its membership table.  The zero and unit ideals are
-    not primary, so rr_chain rejects them.
-
-    The chain decides the stage's verdict, and the probe cannot disagree
-    with it: rr_chain takes J_k = I at every depth where no candidate
-    passes, and at a depth where one passes it takes the generic colon
-    and raises InternalCheckError if that colon is I.  So the chain is
-    NOT_CLOSED exactly when some table entry is True, which is exactly
-    when the probe is, and both witnesses sit at the first such depth.
-    candidates goes to socle_probe as it is.  The probe and the chain
-    share one PowerCache, which scans the generators for pure powers once,
-    for the primary test and the probe's bounded test both."""
+    When the ideal is primary to the maximal ideal, which for a monomial
+    ideal means that every variable has a pure power among the
+    generators, socle_probe reports, and its table decides where the
+    chain takes the generic colon; otherwise rr_chain takes it at every
+    depth.  The zero and unit ideals are not primary, so rr_chain rejects
+    them.  candidates goes to socle_probe as it is.  The PowerCache scans
+    the generators for pure powers once, for the primary test and the
+    probe's bounded test both.  socle_probe and rr_chain are called by
+    their module names, which perfbench's tracer rebinds to time each."""
     powers = PowerCache(ideal)
-    probe = (socle_probe(ideal, depth, powers, candidates)
-             if len(powers.pure) == ideal.arity else None)
-    return rr_chain(ideal, depth, powers=powers, probe=probe), probe
+    if len(powers.pure) == ideal.arity:
+        return socle_probe(ideal, depth, powers, candidates)
+    return rr_chain(ideal, depth, powers)

@@ -224,11 +224,9 @@ class InstanceReport:
     guard: GuardReport           # instance-level comparator guard
     colon: tuple                 # ColonComparison in COLON_SELECTORS order
     dropped_vars: tuple
-    rr: object                   # RRChainReport, None from front_half
-    probe: object | None         # SocleProbeReport, None if not primary
+    rr: object                   # RRReport, None from front_half
     errata: tuple
     failures: tuple
-    timings_ms: dict
 
     @property
     def failed(self):
@@ -255,16 +253,15 @@ class InstanceReport:
             "dropped_vars": list(self.dropped_vars),
             "rr": {
                 "depth": self.rr.depth,
-                "chain_equal": [bool(b) for b in self.rr.chain_equal],
+                "chain_equal": list(self.rr.chain_equal),
                 "stabilized_at": self.rr.stabilized_at,
                 "verdict": self.rr.verdict.value,
             },
-            "probe": None if self.probe is None else {
-                "verdict": self.probe.verdict.value,
-                "candidates": [list(c) for c in self.probe.candidates],
-                "membership_table": [[bool(b) for b in row]
-                                     for row in self.probe.membership_table],
-                "degenerate": self.probe.degenerate,
+            "probe": None if self.rr.candidates is None else {
+                "verdict": self.rr.verdict.value,
+                "candidates": [list(c) for c in self.rr.candidates],
+                "membership_table": [list(row) for row in self.rr.membership_table],
+                "degenerate": self.rr.degenerate,
             },
             "verdict": self.rr_verdict.value,
             "errata": [e.to_dict() for e in self.errata],
@@ -275,50 +272,36 @@ class InstanceReport:
             d["rr"]["witness"] = list(self.rr.witness)
         if full:
             d["generators"] = [[list(b.lead), list(b.tail)] for b in self.generators]
-            d["timings_ms"] = dict(self.timings_ms)
         return d
 
 
 def front_half(curve):
     """Every stage before Ratliff-Rush, shared by run_instance and the
-    inideal, gb-verify, colon, rr and probe views; raises UserInputError on
-    bad input.  The report's rr and probe are None and dropped_vars is
-    empty, so it must not be emitted: only run_instance completes it."""
+    inideal, gb-verify, colon and rr views; raises UserInputError on bad
+    input.  The report's rr is None and dropped_vars is empty, so it must
+    not be emitted: only run_instance completes it."""
     report = validate(curve.arith, curve.extra)
     if not report.ok:
         raise UserInputError(report.first)
-    timings = {}
     failures = []
-
-    t0 = time.perf_counter()
     dp = derive(curve)
-    timings["derive"] = (time.perf_counter() - t0) * 1000.0
-
-    t0 = time.perf_counter()
     gens = patil_singh_generators(dp, curve)
-    timings["generators"] = (time.perf_counter() - t0) * 1000.0
 
     order = curve.order()
     polys = [Polynomial.from_binomial(b) for b in gens]
-    t0 = time.perf_counter()
     gb = gb_verify(polys, order)
-    timings["gb_verify"] = (time.perf_counter() - t0) * 1000.0
     if not gb.passed:
         failures.append(f"gb_verify failed on pair {gb.failing_pair}")
 
-    t0 = time.perf_counter()
     computed = leading_ideal(polys, order)
     closed = initial_closed_form(dp, curve)
     in_match = MatchStatus.MATCH if computed == closed else MatchStatus.MISMATCH
-    timings["in_ideal"] = (time.perf_counter() - t0) * 1000.0
     if in_match is MatchStatus.MISMATCH:
         failures.append("initial ideal closed form disagrees with leading ideal")
 
-    t0 = time.perf_counter()
     tables = [closed_form_table(dp, curve, s) for s in COLON_SELECTORS]
     guard = evaluate_guards(dp, tables)
     colon = tuple(compare_selector(curve, computed, t, guard) for t in tables)
-    timings["colon"] = (time.perf_counter() - t0) * 1000.0
     errata = []
     for c in colon:
         if c.match is MatchStatus.MISMATCH:
@@ -328,8 +311,7 @@ def front_half(curve):
                                       c.guard.reasons, c.literal, c.engine))
 
     return InstanceReport(curve, dp, gens, gb, computed, closed, in_match, guard,
-                          colon, (), None, None, tuple(errata), tuple(failures),
-                          timings)
+                          colon, (), None, tuple(errata), tuple(failures))
 
 
 def run_instance(curve, depth=4):
@@ -343,22 +325,17 @@ def run_instance(curve, depth=4):
     once."""
     front = front_half(curve)
     failures = list(front.failures)
-
-    t0 = time.perf_counter()
     reduced, dropped = reduce_variables(front.in_ideal_computed)
     candidates = None
     if dropped == (0,):
         socle = next(c for c in front.colon if c.selector is ClosedForm.SOCLE_RHO_CHI)
         candidates = tuple(m[1:] for m in socle.engine)
-    rr, probe = run_stage(reduced, depth, candidates=candidates)
-    timings = {**front.timings_ms, "rr": (time.perf_counter() - t0) * 1000.0}
+    rr = run_stage(reduced, depth, candidates=candidates)
     if rr.verdict is not Verdict.CLOSED_EVIDENCE:
         failures.append(f"colon chain verdict {rr.verdict.value}")
-    if probe is None:
+    if rr.candidates is None:
         failures.append("socle probe not applicable (not primary to the maximal ideal)")
-
-    return replace(front, dropped_vars=dropped, rr=rr, probe=probe,
-                               failures=tuple(failures), timings_ms=timings)
+    return replace(front, dropped_vars=dropped, rr=rr, failures=tuple(failures))
 
 
 # input budget on the candidates, which bounds the time only loosely:
@@ -554,7 +531,7 @@ def _csv_row(rep):
         rep.in_ideal_match.value,
         *(by_selector[s].match.value for s in COLON_SELECTORS),
         rep.rr.verdict.value,
-        "" if rep.probe is None else rep.probe.verdict.value,
+        "" if rep.rr.candidates is None else rep.rr.verdict.value,
         str(len(rep.guard.reasons)),
         str(len(rep.errata)),
         str(rep.failed).lower(),

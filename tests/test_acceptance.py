@@ -99,8 +99,7 @@ def test_criterion_4_closedness_evidence(corpus):
         for rep in corpus.instances:
             assert rep.rr.verdict is Verdict.CLOSED_EVIDENCE
             assert rep.rr.chain_equal == (True,) * 4
-            assert rep.probe.verdict is Verdict.CLOSED_EVIDENCE
-            assert all(not any(row) for row in rep.probe.membership_table)
+            assert all(not any(row) for row in rep.rr.membership_table)
             assert "EVIDENCE" in rep.rr.verdict.value
         c.detail = (f"{len(corpus.instances)} instances CLOSED_EVIDENCE "
                     f"at depth 4 (evidence-level label)")

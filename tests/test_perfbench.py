@@ -22,12 +22,15 @@ TRACED = """
 import json
 import workloads
 from tracer import Tracer
+from semicurve import ratliff_rush
+from semicurve.ideals import MonomialIdeal
 from semicurve.semigroup import CurveInstance
 
 tracer = Tracer()
 tracer.install(extra_modules=[workloads])
 workloads.front_half(CurveInstance.parse("21,22,23,24;16"))
 workloads.CorpusRR().run(CurveInstance.parse("5,8,11;7"))
+ratliff_rush.run_stage(MonomialIdeal(2, [(1, 1), (0, 2)]), 2)
 print(json.dumps(tracer.metrics(0.0, 1.0)))
 """
 
@@ -45,5 +48,7 @@ def test_tracer_finds_every_name_it_rebinds():
     assert metrics["survey.compare_selector.calls"] > 0
     assert metrics["semigroup.derive.calls"] > 0
     # The stage calls socle_probe by name, so the probe's span counts the
-    # three socle candidates of 5,8,11;7.
+    # three socle candidates of 5,8,11;7; on the ideal that is not primary
+    # it calls rr_chain by name, so the chain's span records time.
     assert metrics["ratliff_rush.socle_candidates"] == 3
+    assert metrics["ratliff_rush.chain.s"] > 0

@@ -1,7 +1,6 @@
 """Colon-chain closedness evidence and the certified non-closed control."""
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +13,6 @@ from semicurve.errors import InternalCheckError, UserInputError
 from semicurve.ideals import MonomialIdeal
 from semicurve.ratliff_rush import (
     PowerCache,
-    RRChainReport,
-    SocleProbeReport,
     Verdict,
     certify_witness,
     reduce_variables,
@@ -106,10 +103,10 @@ def test_reduce_variables():
 
 def test_primary_to_max():
     # run_stage probes exactly the ideals primary to the maximal ideal.
-    assert run_stage(_w_reduced(), 1)[1] is not None
+    assert run_stage(_w_reduced(), 1).candidates is not None
     # A pure power is missing for the first variable here.
-    assert run_stage(MonomialIdeal(2, [(1, 1), (0, 2)]), 1)[1] is None
-    assert run_stage(MonomialIdeal(1, [(3,)]), 1)[1] is not None
+    assert run_stage(MonomialIdeal(2, [(1, 1), (0, 2)]), 1).candidates is None
+    assert run_stage(MonomialIdeal(1, [(3,)]), 1).candidates is not None
 
 
 def test_socle_probe_candidates_and_input_checks():
@@ -183,11 +180,13 @@ def test_power_cache():
 
 
 def test_run_stage_probes_only_primary_ideals():
-    chain, probe = run_stage(NEGATIVE_CONTROL, 2)
-    assert chain.witness == probe.witness == (2, 2)
-    assert probe.candidates == ratliff_rush._socle_walk(NEGATIVE_CONTROL)
-    chain, probe = run_stage(MonomialIdeal(2, [(1, 1), (0, 2)]), 2)
-    assert probe is None and chain.depth == 2
+    rep = run_stage(NEGATIVE_CONTROL, 2)
+    assert rep.witness == (2, 2) and rep.degenerate is False
+    assert rep.candidates == ratliff_rush._socle_walk(NEGATIVE_CONTROL)
+    ideal = MonomialIdeal(2, [(1, 1), (0, 2)])
+    rep = run_stage(ideal, 2)
+    assert rep.candidates is rep.membership_table is rep.degenerate is None
+    assert rep.depth == 2 and rep.chain == rr_chain(ideal, 2).chain
     with pytest.raises(UserInputError):
         run_stage(MonomialIdeal(2, [(0, 0)]), 2)
 
@@ -241,7 +240,7 @@ def _raised(c, i, e):
 
 
 def test_run_stage_makes_one_membership_pass(monkeypatch):
-    # The chain reads J_k = I off the probe's table, and takes no colon.
+    # The report takes J_k = I off the probe's table, and no colon.
     # The bounded test refutes every candidate: each query is one of its
     # c * x_i^(aK) in I^(K+1), at least one per candidate, and no power is
     # read, so none is built, neither by the probe nor by a certificate's
@@ -255,18 +254,18 @@ def test_run_stage_makes_one_membership_pass(monkeypatch):
     colons = _counting(monkeypatch, MonomialIdeal, "colon")
     products = _counting(monkeypatch, MonomialIdeal, "product")
     row_products = _counting(monkeypatch, kernels, "pairwise_product")
-    chain, probe = run_stage(ideal, 4)
-    assert len(probe.candidates) == 3
+    rep = run_stage(ideal, 4)
+    assert len(rep.candidates) == 3
     pure = _pure_exponents(ideal.gens)
     targets = {c: {_raised(c, i, a * K): K + 1 for i, a, K in _bounded_tests(c, pure)}
-               for c in probe.candidates}
+               for c in rep.candidates}
     assert kernels_built[0] == 1
     assert all(any(t.get(m) == j for t in targets.values()) for m, j in queries)
     assert all(any(t.get(m) == j for m, j in queries) for t in targets.values())
     assert reads[0] == 0 and scans[0] == 0 and colons[0] == 0
     assert products[0] == 0 and row_products[0] == 0
     assert pure_scans[0] == 1
-    assert chain.chain_equal == (True,) * 4
+    assert rep.chain_equal == (True,) * 4
 
 
 def test_run_instance_takes_the_candidates_from_the_socle_colon(corpus, monkeypatch):
@@ -276,21 +275,21 @@ def test_run_instance_takes_the_candidates_from_the_socle_colon(corpus, monkeypa
     # power, and each stage scans its generators for pure powers once.
     for rep in corpus.instances:
         assert rep.dropped_vars == (0,)
-        assert rep.probe.candidates == ratliff_rush._socle_walk(rep.rr.ideal)
+        assert rep.rr.candidates == ratliff_rush._socle_walk(rep.rr.ideal)
     sample = corpus.instances[::24]
     walks = _counting(monkeypatch, ratliff_rush, "_socle_walk")
     reads = _counting(monkeypatch, PowerCache, "get")
     pure_scans = _counting(monkeypatch, ratliff_rush, "_pure_powers")
     reruns = [run_instance(rep.instance, rep.rr.depth) for rep in sample]
     assert walks[0] == 0 and pure_scans[0] == len(sample)
-    stages = [run_stage(rep.rr.ideal, rep.rr.depth, candidates=rep.probe.candidates)
+    stages = [run_stage(rep.rr.ideal, rep.rr.depth, candidates=rep.rr.candidates)
               for rep in corpus.instances]
     assert reads[0] == 0 and pure_scans[0] == len(sample) + len(corpus.instances)
     monkeypatch.undo()
     for rep, rerun in zip(sample, reruns):
-        assert rerun.probe.candidates == rep.probe.candidates
-    for rep, (chain, probe) in zip(corpus.instances, stages):
-        assert probe.membership_table == rep.probe.membership_table
+        assert rerun.rr.candidates == rep.rr.candidates
+    for rep, stage in zip(corpus.instances, stages):
+        assert stage.membership_table == rep.rr.membership_table
 
 
 def _refuted_by_oracle(c, gens, depth=None):
@@ -307,7 +306,7 @@ def test_bounded_test_matches_oracle_on_corpus(corpus):
         gens = rep.rr.ideal.gens
         pure = _pure_exponents(gens)
         contains = kernels.power_membership(gens)
-        for c in rep.probe.candidates:
+        for c in rep.rr.candidates:
             assert ratliff_rush._refuted(c, pure, contains, rep.rr.depth)
             for i, a, K in _bounded_tests(c, pure):
                 assert contains(_raised(c, i, a * K), K + 1) is pure_power_in_power(
@@ -360,8 +359,8 @@ def test_bounded_test_refutes_an_integral_element():
 
 def test_a_passing_test_reads_the_power(monkeypatch):
     # A per-depth test reads the rows of I^k from PowerCache.get(k), so
-    # every depth where a row passes reads its power before the witness is
-    # certified.
+    # every depth where a row passes reads its power before the one
+    # witness is certified.
     reads, at_certify = [], []
     get, certify = PowerCache.get, ratliff_rush.certify_witness
 
@@ -378,7 +377,7 @@ def test_a_passing_test_reads_the_power(monkeypatch):
     passing = {k for row in probe.membership_table
                for k, hit in enumerate(row, start=1) if hit}
     assert passing == {1, 2, 3, 4}
-    assert at_certify == [passing]
+    assert len(at_certify) == 1 and passing <= at_certify[0]
 
 
 def test_pure_powers_alone_do_not_decide_a_test():
@@ -399,81 +398,48 @@ def test_pure_powers_alone_do_not_decide_a_test():
 
 
 def test_run_stage_takes_each_grown_colon_once(monkeypatch):
-    # Every depth grows: the chain takes J_1..J_4, and both certificates of
-    # the depth-1 witness read the cached J_1 instead of recomputing it.
+    # Every depth grows: the chain takes J_1..J_4, and the one certificate
+    # of the depth-1 witness reads the cached J_1 instead of recomputing it.
     colons = _counting(monkeypatch, MonomialIdeal, "colon")
-    chain, probe = run_stage(NEGATIVE_CONTROL, 4)
-    assert chain.witness == probe.witness == (2, 2)
-    assert chain.chain_equal == (False,) * 4
-    assert colons[0] == 4
+    certified = _counting(monkeypatch, ratliff_rush, "certify_witness")
+    rep = run_stage(NEGATIVE_CONTROL, 4)
+    assert rep.witness == (2, 2)
+    assert rep.chain_equal == (False,) * 4
+    assert colons[0] == 4 and certified[0] == 1
 
 
-def test_chain_rejects_a_probe_the_colon_contradicts():
-    ideal = _w_reduced()
-    probe = socle_probe(ideal, 4)
-    table = ((False, True, False, False),) + probe.membership_table[1:]
-    fake = replace(probe, membership_table=table)
-    with pytest.raises(InternalCheckError, match="depth 2"):
-        rr_chain(ideal, 4, probe=fake)
+def test_chain_rejects_a_probe_the_colon_contradicts(monkeypatch):
+    # A lying membership predicate, with nothing in I^2 and everything in
+    # I^3, makes x^3*y^3 pass from depth 2 on, where the generic colon of
+    # (x^4, y^4) is I itself.
+    monkeypatch.setattr(kernels, "power_membership", lambda gens: lambda m, j: j >= 3)
+    with pytest.raises(InternalCheckError, match="passes at depth 2 but J_2 = I"):
+        socle_probe(MonomialIdeal(2, [(4, 0), (0, 4)]), 4)
 
 
 def test_combined_report_schema():
-    rep = verdict_payload(*run_stage(NEGATIVE_CONTROL, 3))
-    assert sorted(rep) == ["chain_equal", "depth", "membership_table",
-                           "socle_candidates", "verdict", "witness",
-                           "witness_depth"]
+    rep = verdict_payload(run_stage(NEGATIVE_CONTROL, 3))
+    assert sorted(rep) == ["chain_equal", "degenerate", "depth", "membership_table",
+                           "socle_candidates", "verdict", "witness", "witness_depth"]
     assert rep["depth"] == 3 and rep["verdict"] == "NOT_CLOSED"
     assert rep["witness"] == [2, 2] and rep["witness_depth"] == 1
 
-    closed = verdict_payload(*run_stage(_w_reduced(), 2))
+    closed = verdict_payload(run_stage(_w_reduced(), 2))
     assert closed["verdict"] == "CLOSED_EVIDENCE"
     assert "witness" not in closed
     assert closed["chain_equal"] == [True, True]
 
 
-def _fake_chain(witness):
-    if witness is None:
-        return RRChainReport(NEGATIVE_CONTROL, 1, (NEGATIVE_CONTROL,), (True,), 1,
-                             Verdict.CLOSED_EVIDENCE)
-    return RRChainReport(NEGATIVE_CONTROL, 1, (NEGATIVE_CONTROL,), (False,), 1,
-                         Verdict.NOT_CLOSED, witness, 1)
-
-
-def _fake_probe(witness):
-    if witness is None:
-        return SocleProbeReport(NEGATIVE_CONTROL, 1, (), (), Verdict.CLOSED_EVIDENCE)
-    return SocleProbeReport(NEGATIVE_CONTROL, 1, (witness,), ((True,),),
-                            Verdict.NOT_CLOSED, witness, 1)
-
-
-@pytest.mark.parametrize("chain_witness, probe_witness, expected", [
-    pytest.param(None, (1, 1), ("CLOSED_EVIDENCE", None), id="probe-witness-closed-chain"),
-    pytest.param((2, 2), (1, 1), ("NOT_CLOSED", [2, 2]), id="chain-witness-first"),
-    pytest.param(None, None, ("CLOSED_EVIDENCE", None), id="both-closed"),
-    pytest.param((2, 2), "absent", ("NOT_CLOSED", [2, 2]), id="no-probe-chain-witness"),
-    pytest.param(None, "absent", ("CLOSED_EVIDENCE", None), id="no-probe-closed-chain"),
-])
-def test_rr_and_survey_share_the_verdict_rule(worked_instance, chain_witness,
-                                               probe_witness, expected):
-    # The chain decides both the rr payload and the survey's verdict,
-    # whatever the probe reports beside it.
-    chain = _fake_chain(chain_witness)
-    probe = None if probe_witness == "absent" else _fake_probe(probe_witness)
-    surveyed = replace(run_instance(worked_instance, depth=1), rr=chain, probe=probe)
-    payload = verdict_payload(chain, probe)
-
-    verdict, witness = expected
-    assert payload["verdict"] == surveyed.rr_verdict.value == verdict
-    assert payload.get("witness") == witness
-
-
 def test_chain_and_probe_agree_on_the_corpus(corpus):
-    # On real ideals the probe's verdict is the chain's, so the payload's
-    # verdict is the survey's.
+    # The rr payload and the survey's rr and probe entries are views of one
+    # report, so they agree field by field.
     for rep in corpus.instances:
-        assert rep.probe.verdict is rep.rr.verdict is rep.rr_verdict
-        payload = verdict_payload(rep.rr, rep.probe)
-        assert payload["verdict"] == rep.rr_verdict.value
+        payload, full = verdict_payload(rep.rr), rep.to_dict()
+        assert payload["verdict"] == full["verdict"] == full["probe"]["verdict"]
+        assert payload["chain_equal"] == full["rr"]["chain_equal"]
+        assert payload["socle_candidates"] == full["probe"]["candidates"]
+        assert payload["membership_table"] == full["probe"]["membership_table"]
+        assert payload["degenerate"] is full["probe"]["degenerate"]
 
 
 def _generic_chain(ideal, depth):
@@ -485,15 +451,20 @@ def _generic_chain(ideal, depth):
     return tuple(wrap(k + 1).colon(wrap(k)) for k in range(1, depth + 1))
 
 
-def _assert_chain_parity(ideal, chain, probe):
-    # The two verdicts agree, and the payload carries the chain's witness.
-    assert chain.verdict is probe.verdict
-    assert chain.witness_depth == probe.witness_depth
-    payload = verdict_payload(chain, probe)
-    assert payload["verdict"] == chain.verdict.value
-    assert payload.get("witness") == (None if chain.witness is None else list(chain.witness))
-    assert [j.gens for j in chain.chain] == [
-        j.gens for j in _generic_chain(ideal, chain.depth)]
+def _assert_chain_parity(ideal, rep):
+    # The report's chain is the generic one, its verdict and witness are
+    # those of the chain with every J_k taken by the generic colon, a table
+    # entry passes exactly when it is NOT_CLOSED, and the payload carries
+    # that one witness.
+    assert [j.gens for j in rep.chain] == [
+        j.gens for j in _generic_chain(ideal, rep.depth)]
+    generic = rr_chain(ideal, rep.depth)
+    assert (rep.verdict, rep.witness, rep.witness_depth) == (
+        generic.verdict, generic.witness, generic.witness_depth)
+    assert (rep.verdict is Verdict.NOT_CLOSED) == any(map(any, rep.membership_table))
+    payload = verdict_payload(rep)
+    assert payload["verdict"] == rep.verdict.value
+    assert payload.get("witness") == (None if rep.witness is None else list(rep.witness))
 
 
 def _gapped_ideals(count, seed):
@@ -512,9 +483,9 @@ def test_chain_matches_generic_colon_on_gapped_ideals():
     verdicts = []
     cases = [(NEGATIVE_CONTROL, d) for d in range(1, 5)]
     for ideal, depth in cases + [(ideal, 2) for ideal in _gapped_ideals(300, seed=5)]:
-        chain, probe = run_stage(ideal, depth)
-        _assert_chain_parity(ideal, chain, probe)
-        verdicts.append(chain.verdict)
+        rep = run_stage(ideal, depth)
+        _assert_chain_parity(ideal, rep)
+        verdicts.append(rep.verdict)
     # Both verdicts occur, so the parity covers grown chains too.
     assert Verdict.NOT_CLOSED in verdicts and Verdict.CLOSED_EVIDENCE in verdicts
 
@@ -526,8 +497,8 @@ def test_chain_matches_generic_colon_on_corpus_sample(corpus, monkeypatch):
     stages = [run_stage(rep.rr.ideal, rep.rr.depth) for rep in sample]
     assert colons[0] == 0
     monkeypatch.undo()
-    for rep, (chain, probe) in zip(sample, stages):
-        _assert_chain_parity(rep.rr.ideal, chain, probe)
+    for rep, stage in zip(sample, stages):
+        _assert_chain_parity(rep.rr.ideal, stage)
 
 
 def _oracle_table(ideal, candidates, depth):
@@ -613,11 +584,11 @@ def _primary_ideals(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_primary_ideals())
 def test_probe_table_decides_the_chain(ideal):
-    chain, probe = run_stage(ideal, 3)
-    assert [j.gens for j in chain.chain] == [j.gens for j in _generic_chain(ideal, 3)]
-    assert list(chain.chain_equal) == [
-        not any(row[k] for row in probe.membership_table) for k in range(3)]
-    assert probe.membership_table == _oracle_table(ideal, probe.candidates, 3)
+    rep = run_stage(ideal, 3)
+    assert [j.gens for j in rep.chain] == [j.gens for j in _generic_chain(ideal, 3)]
+    assert list(rep.chain_equal) == [
+        not any(row[k] for row in rep.membership_table) for k in range(3)]
+    assert rep.membership_table == _oracle_table(ideal, rep.candidates, 3)
 
 
 @st.composite
