@@ -452,16 +452,22 @@ def _generic_chain(ideal, depth):
 
 
 def _assert_chain_parity(ideal, rep):
-    # The report's chain is the generic one, its verdict and witness are
-    # those of the chain with every J_k taken by the generic colon, a table
-    # entry passes exactly when it is NOT_CLOSED, and the payload carries
-    # that one witness.
-    assert [j.gens for j in rep.chain] == [
-        j.gens for j in _generic_chain(ideal, rep.depth)]
-    generic = rr_chain(ideal, rep.depth)
-    assert (rep.verdict, rep.witness, rep.witness_depth) == (
-        generic.verdict, generic.witness, generic.witness_depth)
-    assert (rep.verdict is Verdict.NOT_CLOSED) == any(map(any, rep.membership_table))
+    # The report's chain is the generic one, and its witness is the
+    # generic chain's: the first generator outside I of the first J_k
+    # larger than I, whatever candidate passes there.  A table entry
+    # passes exactly when the verdict is NOT_CLOSED, and the payload
+    # carries that one witness.
+    generic = _generic_chain(ideal, rep.depth)
+    assert [j.gens for j in rep.chain] == [j.gens for j in generic]
+    grown = [k for k, j in enumerate(generic, start=1) if j != ideal]
+    if grown:
+        k = grown[0]
+        assert rep.witness_depth == k
+        assert rep.witness == next(g for g in generic[k - 1].gens if g not in ideal)
+    else:
+        assert rep.witness is None
+    assert (rep.verdict is Verdict.NOT_CLOSED) == bool(grown)
+    assert bool(grown) == any(map(any, rep.membership_table))
     payload = verdict_payload(rep)
     assert payload["verdict"] == rep.verdict.value
     assert payload.get("witness") == (None if rep.witness is None else list(rep.witness))
@@ -518,12 +524,13 @@ def _mixed_rows(table):
 
 def test_probe_table_matches_oracle_on_gapped_ideals():
     # The top-down fill gives every row exactly, at every depth: a row of
-    # depth d is the first d entries of the depth-4 row.
+    # depth d is the first d entries of the depth-4 row.  The depths share
+    # one PowerCache, so a grown J_k is taken once per ideal.
     mixed = 0
     for ideal in _gapped_ideals(100, seed=5):
-        rows = None
+        rows, powers = None, PowerCache(ideal)
         for depth in range(4, 0, -1):
-            probe = socle_probe(ideal, depth)
+            probe = socle_probe(ideal, depth, powers)
             if rows is None:
                 rows = _oracle_table(ideal, probe.candidates, 4)
             assert probe.membership_table == tuple(row[:depth] for row in rows)
