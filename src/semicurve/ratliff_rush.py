@@ -7,7 +7,9 @@ inspects finitely many depths, and where the bounded test below proves
 more, the reports do not say so yet.  A not-closed verdict,
 by contrast, is final: it carries a witness monomial, the first generator
 outside I of the first J_k larger than I, that certify_witness re-checks
-by the divisibility scan over the built powers.  The stage reports once,
+by two membership engines independent of the colon: the divisibility
+scan over the built powers and the power_membership recursion over the
+generators of I.  The stage reports once,
 in one RRReport: the chain, the verdict and the witness, and for a
 primary ideal the probe's candidates and table besides.
 
@@ -174,17 +176,20 @@ def _refuted(c, pure, contains, depth):
 
 
 def certify_witness(ideal, witness, k, powers):
-    """Re-verify a not-closed witness with both membership engines: it must
-    lie outside I, scale I^k into I^(k+1) by the divisibility scan over the
-    built powers, and lie in the generic colon I^(k+1) : I^k, which powers
-    computes once per k.  The stage reads its witness off that colon, so
-    the scan is the check independent of where the witness came from."""
+    """Re-verify a not-closed witness with two membership engines, neither
+    of which reads the colon the stage takes its witness from: it must lie
+    outside I and scale every generator of I^k into I^(k+1), both by the
+    divisibility scan over the built rows of I^(k+1) and by
+    kernels.power_membership, which reads I^(k+1) off the generators of I
+    alone."""
     if witness in ideal:
         raise InternalCheckError("witness lies in the ideal")
-    if not scaled_in_power(witness, powers.get(k), powers.get(k + 1)):
+    rows = powers.get(k)
+    if not scaled_in_power(witness, rows, powers.get(k + 1)):
         raise InternalCheckError(f"witness fails the depth-{k} product check")
-    if witness not in powers.colon(k):
-        raise InternalCheckError(f"witness fails the depth-{k} colon membership")
+    contains = kernels.power_membership(ideal.gens)
+    if not all(contains(tuple(map(add, witness, h)), k + 1) for h in rows):
+        raise InternalCheckError(f"witness fails the depth-{k} power membership")
 
 
 @dataclass(frozen=True)

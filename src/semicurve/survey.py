@@ -30,8 +30,12 @@ CSV columns (one row per instance):
   instance, case, gb_passed, in_ideal, colon_x1_to_pm1, colon_x1_to_p,
   colon_xn, socle_rho_chi, rr_verdict, probe_verdict, guards_violated,
   errata, failed
-Timing values are reported in the TEXT format only, so JSON and CSV
-emissions are byte-identical across runs on the same input.
+The JSON report is one compact object with sorted keys: the summary
+(SurveyReport.to_dict) with the errata and the per-instance reports
+(InstanceReport.to_dict) in their sorted places.  emit writes it one
+entry at a time, so no whole-report dict is ever built.  Timing values
+are reported in the TEXT format only, so JSON and CSV emissions are
+byte-identical across runs on the same input.
 """
 from __future__ import annotations
 
@@ -483,6 +487,8 @@ class SurveyReport:
         return not self.failed_instances
 
     def to_dict(self):
+        """The report's summary: every key of the JSON report but errata
+        and instances, which emit writes one entry at a time."""
         return {
             "bounds": self.bounds.to_dict(),
             "depth": self.depth,
@@ -495,10 +501,8 @@ class SurveyReport:
             "guard_reasons": self.guard_reason_counts,
             "verdicts": self.verdict_counts,
             "case2_covered": self.case2_covered,
-            "errata": [e.to_dict() for e in self.errata],
             "failed": list(self.failed_instances),
             "ok": self.ok,
-            "instances": [rep.to_dict() for rep in self.instances],
         }
 
 
@@ -567,11 +571,42 @@ def _text_lines(report):
            f"({report.wall_ms / 1000.0:.1f} s)")
 
 
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _json_bytes(report):
+    """The report as one compact JSON object with sorted keys and a final
+    newline, the bytes json.dumps gives for the whole-report dict.  They
+    are written into one buffer, the summary's values whole and the
+    errata and instance lists one entry at a time, so only one entry's
+    dict tree is alive at once, and getvalue hands the buffer over
+    without a copy: the peak memory stays near the size of the bytes."""
+    values = report.to_dict()
+    entries = {"errata": report.errata, "instances": report.instances}
+    out = io.BytesIO()
+    out.write(b"{")
+    for i, key in enumerate(sorted([*values, *entries])):
+        if i:
+            out.write(b",")
+        out.write(_JSON.encode(key).encode() + b":")
+        if key in values:
+            out.write(_JSON.encode(values[key]).encode())
+            continue
+        out.write(b"[")
+        for j, entry in enumerate(entries[key]):
+            if j:
+                out.write(b",")
+            out.write(_JSON.encode(entry.to_dict()).encode())
+        out.write(b"]")
+    out.write(b"}\n")
+    return out.getvalue()
+
+
 def emit(report, fmt):
-    """Serialize a survey report; JSON and CSV are byte-deterministic."""
+    """Serialize a survey report; JSON and CSV are byte-deterministic.
+    The JSON is streamed one instance at a time (_json_bytes)."""
     if fmt is Format.JSON:
-        return (json.dumps(report.to_dict(), sort_keys=True,
-                           separators=(",", ":")) + "\n").encode()
+        return _json_bytes(report)
     if fmt is Format.CSV:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

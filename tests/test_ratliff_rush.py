@@ -140,15 +140,16 @@ def test_certify_witness():
 
 def test_certify_witness_needs_both_engines(monkeypatch):
     # (1, 1) is no witness; each engine alone must reject it while the
-    # other is made to accept everything.
+    # other is made to accept everything.  Neither reads the generic colon.
     powers = PowerCache(NEGATIVE_CONTROL)
     with monkeypatch.context() as patch:
         patch.setattr(ratliff_rush, "scaled_in_power", lambda *a: True)
-        with pytest.raises(InternalCheckError, match="colon membership"):
+        patch.setattr(PowerCache, "colon", None)
+        with pytest.raises(InternalCheckError, match="power membership"):
             certify_witness(NEGATIVE_CONTROL, (1, 1), 1, powers)
     with monkeypatch.context() as patch:
-        patch.setattr(MonomialIdeal, "colon",
-                      lambda self, other: MonomialIdeal(self.arity, [(0,) * self.arity]))
+        patch.setattr(kernels, "power_membership", lambda gens: lambda m, j: True)
+        patch.setattr(PowerCache, "colon", None)
         with pytest.raises(InternalCheckError, match="product check"):
             certify_witness(NEGATIVE_CONTROL, (1, 1), 1, powers)
 

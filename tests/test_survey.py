@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from semicurve.survey import (
     _candidates,
     _divisor_span,
 )
+from conftest import record_acceptance
 from oracles import grevlex_key
 from test_kernels import _colon_outside
 
@@ -220,8 +222,26 @@ def test_emit_json_deterministic_and_parses(mini):
     assert len(w["guard"]["reasons"]) == 8
     assert set(w["colon"]) == {s.value for s in COLON_SELECTORS}
     assert w["colon"]["COLON_XN"]["ideal_equal"] is True
-    # Emitted JSON mirrors the dict form exactly.
-    assert data == json.loads(json.dumps(mini.to_dict()))
+    # The streamed bytes are those of the whole-report dict dumped at once.
+    whole = dict(mini.to_dict(), errata=[e.to_dict() for e in mini.errata],
+                 instances=[rep.to_dict() for rep in mini.instances])
+    assert blob1 == (json.dumps(whole, sort_keys=True, separators=(",", ":"))
+                     + "\n").encode()
+
+
+def test_emit_json_peak_memory_stays_near_its_bytes(mini):
+    # The JSON is streamed one entry at a time into the buffer it returns:
+    # a whole-report dict plus its str and bytes copies peaked at 3.1x.
+    tracemalloc.start()
+    try:
+        blob = emit(mini, Format.JSON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / len(blob)
+    record_acceptance(f"JSON emission peak (tracemalloc) on the mini survey: "
+                      f"{ratio:.2f}x the {len(blob):,} bytes emitted")
+    assert ratio <= 1.5
 
 
 def test_emit_golden_bytes(mini):
